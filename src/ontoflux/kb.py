@@ -7,6 +7,18 @@ forward chainer: subclass and union propagation, property domain/range
 inference, and Horn rules whose variables bind only to known
 individuals.  That fragment is decidable and the fixpoint is finite.
 
+One engine, ``fixpoint``, computes it, both here and for the merged
+fact set in ``merging``.  It indexes the one-premise T-Box axioms by
+concept and property, runs semi-naive rounds (each round fires only on
+the atoms that are new or changed in the previous one) and joins rule
+bodies through a per-predicate fact index.  Each atom carries an
+annotation that the caller defines: ``saturate`` uses plain membership,
+``merging`` the atom's minimal derivation paths.  The saturation is
+memoized on the knowledge base itself, so repeated closure and
+membership queries against one KB cost one fixpoint; a KB made by
+``close_class`` shares its parent's memo, since its T-, A- and R-Box are
+the same.
+
 Queries are three-valued.  Membership that can be derived is True;
 membership in a class whose extension has been explicitly closed is
 False when the individual is outside the recorded closure; everything
@@ -15,19 +27,24 @@ switched off for the classes a monitor needs to reason about
 negatively.
 
 All values here are immutable; every operation returns a new
-``KnowledgeBase`` and never mutates its input.
+``KnowledgeBase`` and never mutates its input.  The memo is the one
+piece of state a KB fills in later; it takes no part in equality or
+``repr``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import MalformedItemError
 
 _LOCAL_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+Annotation = TypeVar("Annotation")  # what the fixpoint attaches to each atom
 
 
 @dataclass(frozen=True, order=True)
@@ -168,8 +185,10 @@ class ABoxAssertion:
     def __post_init__(self):
         if not is_ground(self.atom):
             raise MalformedItemError(f"A-Box atom must be ground: {self.atom}")
-        if self.asserted_at < 0:
-            raise MalformedItemError("asserted_at must be nonnegative")
+        if not math.isfinite(self.asserted_at) or self.asserted_at < 0:
+            raise MalformedItemError(
+                f"asserted_at must be finite and nonnegative, got {self.asserted_at}"
+            )
 
 
 @dataclass(frozen=True, order=True)
@@ -213,6 +232,15 @@ class Violation:
     axiom: TBoxAxiom
 
 
+class _Memo:
+    """The saturation of every KB sharing this memo: they have one T-, A- and R-Box."""
+
+    __slots__ = ("atoms",)
+
+    def __init__(self):
+        self.atoms: frozenset[Atom] | None = None
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Immutable T-Box / A-Box / R-Box snapshot with closure records.
@@ -225,6 +253,7 @@ class KnowledgeBase:
     abox: dict[Atom, float] = field(default_factory=dict)
     rbox: frozenset[HornRule] = frozenset()
     closures: dict[EntityName, ClosureRecord] = field(default_factory=dict)
+    _memo: _Memo = field(default_factory=_Memo, compare=False, repr=False)
 
     @staticmethod
     def empty() -> "KnowledgeBase":
@@ -266,28 +295,18 @@ def assert_all(kb: KnowledgeBase, items: Iterable[KBItem]) -> KnowledgeBase:
 # --- entailment --------------------------------------------------------
 
 
-def _match_term(pattern: Term, value: Individual, binding: dict) -> dict | None:
-    if isinstance(pattern, Individual):
-        return binding if pattern == value else None
-    bound = binding.get(pattern)
-    if bound is None:
-        out = dict(binding)
-        out[pattern] = value
-        return out
-    return binding if bound == value else None
+def atom_predicate(atom: Atom) -> EntityName:
+    return atom.concept if isinstance(atom, ClassAtom) else atom.prop
 
 
-def _match_atom(pattern: Atom, fact: Atom, binding: dict) -> dict | None:
-    if isinstance(pattern, ClassAtom):
-        if not isinstance(fact, ClassAtom) or pattern.concept != fact.concept:
-            return None
-        return _match_term(pattern.subject, fact.subject, binding)
-    if not isinstance(fact, PropertyAtom) or pattern.prop != fact.prop:
-        return None
-    binding = _match_term(pattern.subject, fact.subject, binding)
-    if binding is None:
-        return None
-    return _match_term(pattern.object, fact.object, binding)
+FactIndex = dict[EntityName, set[Atom]]  # predicate -> ground atoms
+
+
+def index_facts(facts: Iterable[Atom]) -> FactIndex:
+    index: FactIndex = {}
+    for atom in facts:
+        index.setdefault(atom_predicate(atom), set()).add(atom)
+    return index
 
 
 def substitute(atom: Atom, binding: dict) -> Atom:
@@ -299,21 +318,155 @@ def substitute(atom: Atom, binding: dict) -> Atom:
     return PropertyAtom(atom.prop, term(atom.subject), term(atom.object))
 
 
-def match_rule_body(body: tuple[Atom, ...], facts: Iterable[Atom]) -> list[dict]:
-    """All variable bindings under which every body atom matches a fact."""
-    facts = list(facts)
+def _unify(pattern: Atom, fact: Atom, binding: dict) -> dict | None:
+    """``binding`` extended so that ``pattern`` becomes ``fact``, or None."""
+    if type(pattern) is not type(fact):
+        return None  # a class and a property may share a name
+    out = binding
+    for p, v in zip(atom_terms(pattern), atom_terms(fact)):
+        if isinstance(p, Individual):
+            if p != v:
+                return None
+        elif p in out:
+            if out[p] != v:
+                return None
+        else:
+            if out is binding:
+                out = dict(binding)
+            out[p] = v
+    return out
+
+
+def _join(plan: list[tuple[Atom, FactIndex, FactIndex]]) -> list[dict]:
+    """Bindings matching each pattern to a fact of its index outside its skip index."""
     bindings = [{}]
-    for pattern in body:
+    for pattern, index, skip in plan:
+        pred = atom_predicate(pattern)
+        facts = index.get(pred)
+        if not facts:
+            return []
+        excluded = skip.get(pred, ())
         extended = []
         for binding in bindings:
+            bound = substitute(pattern, binding)
+            if is_ground(bound):
+                if bound in facts and bound not in excluded:
+                    extended.append(binding)
+                continue
             for fact in facts:
-                out = _match_atom(pattern, fact, binding)
-                if out is not None:
-                    extended.append(out)
+                if fact not in excluded:
+                    out = _unify(bound, fact, binding)
+                    if out is not None:
+                        extended.append(out)
         bindings = extended
         if not bindings:
             break
     return bindings
+
+
+def match_body(
+    body: tuple[Atom, ...], index: FactIndex, delta: FactIndex | None = None
+) -> list[dict]:
+    """All variable bindings under which every body atom matches an indexed fact.
+
+    With ``delta`` (the facts new or changed in the last round, also in
+    ``index``) only the bindings that use a delta fact, each once: the
+    first body position that uses one matches ``delta`` and is joined
+    first, the positions before it match facts outside ``delta``.
+    """
+    if delta is None:
+        return _join([(pattern, index, {}) for pattern in body])
+    out = []
+    for i, pattern in enumerate(body):
+        plan = [(pattern, delta, {})]
+        plan += [(p, index, delta if j < i else {}) for j, p in enumerate(body) if j != i]
+        out.extend(_join(plan))
+    return out
+
+
+def _tbox_heads(tbox: Iterable[TBoxAxiom]):
+    """The one-premise axioms, indexed: ``heads(atom)`` lists the atoms they derive from it."""
+    wholes: dict[EntityName, set[EntityName]] = {}  # concept -> superclasses and union wholes
+    domains: dict[EntityName, set[EntityName]] = {}
+    ranges: dict[EntityName, set[EntityName]] = {}
+    for ax in tbox:
+        if isinstance(ax, SubClassOf):
+            wholes.setdefault(ax.sub, set()).add(ax.sup)
+        elif isinstance(ax, UnionEquivalence):
+            for part in ax.parts:
+                wholes.setdefault(part, set()).add(ax.whole)
+        elif isinstance(ax, PropertyDomain):
+            domains.setdefault(ax.prop, set()).add(ax.concept)
+        elif isinstance(ax, PropertyRange):
+            ranges.setdefault(ax.prop, set()).add(ax.concept)
+
+    def heads(atom: Atom) -> list[Atom]:
+        if isinstance(atom, ClassAtom):
+            return [ClassAtom(c, atom.subject) for c in wholes.get(atom.concept, ())]
+        return [ClassAtom(c, atom.subject) for c in domains.get(atom.prop, ())] + [
+            ClassAtom(c, atom.object) for c in ranges.get(atom.prop, ())
+        ]
+
+    return heads
+
+
+def fixpoint(
+    tbox: Iterable[TBoxAxiom],
+    rbox: Iterable[HornRule],
+    seeds: dict[Atom, Annotation],
+    conjoin: Callable[[list[Annotation]], Annotation],
+    disjoin: Callable[[Annotation, Annotation], Annotation],
+) -> dict[Atom, Annotation]:
+    """Least fixpoint of the T-Box and R-Box over annotated ground atoms.
+
+    ``seeds`` maps each given atom to its annotation.  A one-premise
+    axiom passes its premise's annotation to the head; a rule firing
+    gives its head ``conjoin`` of its premises' annotations; two
+    annotations of one atom combine by ``disjoin``.  Rounds are
+    semi-naive: each fires the axioms and rules only on the atoms
+    whose annotation is new or changed in the previous round, joining
+    rule bodies through a per-predicate index.  Terminates when
+    annotations form a finite lattice, as sets of atoms and of
+    mapping-id paths over a finite KB do.
+    """
+    heads = _tbox_heads(tbox)
+    rules = list(rbox)
+    facts = dict(seeds)
+    index = index_facts(facts)
+    delta = index_facts(facts)
+    while delta:
+        fresh: dict[Atom, Annotation] = {}
+
+        def emit(head: Atom, annotation: Annotation) -> None:
+            prior = fresh.get(head)
+            fresh[head] = annotation if prior is None else disjoin(prior, annotation)
+
+        for bucket in delta.values():
+            for atom in bucket:
+                for head in heads(atom):
+                    emit(head, facts[atom])
+        for rule in rules:
+            for binding in match_body(rule.body, index, delta):
+                emit(
+                    substitute(rule.head, binding),
+                    conjoin([facts[substitute(b, binding)] for b in rule.body]),
+                )
+        delta = {}
+        for atom, annotation in fresh.items():
+            prior = facts.get(atom)
+            if prior is not None:
+                annotation = disjoin(prior, annotation)
+                if annotation == prior:
+                    continue
+            facts[atom] = annotation
+            pred = atom_predicate(atom)
+            index.setdefault(pred, set()).add(atom)
+            delta.setdefault(pred, set()).add(atom)
+    return facts
+
+
+def _holds(*_) -> bool:
+    return True  # the plain annotation: an atom is derived or it is not
 
 
 def saturate(kb: KnowledgeBase) -> frozenset[Atom]:
@@ -322,41 +475,14 @@ def saturate(kb: KnowledgeBase) -> frozenset[Atom]:
     Combines asserted atoms with subclass propagation, union
     part-to-whole propagation, property domain/range inference, and
     Horn-rule firing over known individuals.  Terminates because the
-    ground atom space over the KB's individuals is finite.
+    ground atom space over the KB's individuals is finite.  The result
+    is computed once per KB and kept on it.
     """
-    atoms: set[Atom] = set(kb.abox)
-    subclass = [ax for ax in kb.tbox if isinstance(ax, SubClassOf)]
-    unions = [ax for ax in kb.tbox if isinstance(ax, UnionEquivalence)]
-    domains = [ax for ax in kb.tbox if isinstance(ax, PropertyDomain)]
-    ranges = [ax for ax in kb.tbox if isinstance(ax, PropertyRange)]
-    rules = list(kb.rbox)
-
-    changed = True
-    while changed:
-        changed = False
-        fresh: set[Atom] = set()
-        for a in atoms:
-            if isinstance(a, ClassAtom):
-                for ax in subclass:
-                    if ax.sub == a.concept:
-                        fresh.add(ClassAtom(ax.sup, a.subject))
-                for ax in unions:
-                    if a.concept in ax.parts:
-                        fresh.add(ClassAtom(ax.whole, a.subject))
-            else:
-                for ax in domains:
-                    if ax.prop == a.prop:
-                        fresh.add(ClassAtom(ax.concept, a.subject))
-                for ax in ranges:
-                    if ax.prop == a.prop:
-                        fresh.add(ClassAtom(ax.concept, a.object))
-        for rule in rules:
-            for binding in match_rule_body(rule.body, atoms):
-                fresh.add(substitute(rule.head, binding))
-        if not fresh <= atoms:
-            atoms |= fresh
-            changed = True
-    return frozenset(atoms)
+    memo = kb._memo
+    if memo.atoms is None:
+        seeds = dict.fromkeys(kb.abox, True)
+        memo.atoms = frozenset(fixpoint(kb.tbox, kb.rbox, seeds, _holds, _holds))
+    return memo.atoms
 
 
 def entailed_members(kb: KnowledgeBase, concept: EntityName) -> set[EntityName]:
@@ -418,7 +544,7 @@ def close_class(kb: KnowledgeBase, concept: EntityName, now: float) -> Knowledge
         raise ValueError(f"cannot close {concept} at {now} before existing closure at {prior.closed_at}")
     closures = dict(kb.closures)
     closures[concept] = ClosureRecord(concept, frozenset(entailed_members(kb, concept)), now)
-    return KnowledgeBase(kb.tbox, dict(kb.abox), kb.rbox, closures)
+    return KnowledgeBase(kb.tbox, dict(kb.abox), kb.rbox, closures, kb._memo)
 
 
 def is_member(kb: KnowledgeBase, individual: EntityName, concept: EntityName) -> Truth:

@@ -4,11 +4,14 @@ Mappings are directed bridges: a source atom pattern over the external
 namespace, a target pattern over the local namespace, and the
 probability that instances of the source belong to the target.  A merge
 applies every mapping to every asserted external ground fact, then
-chains the resulting local atoms through the local T-Box and R-Box.
+chains the resulting local atoms through the local T-Box and R-Box with
+the knowledge base's semi-naive engine (``kb.fixpoint``).
 
 Each derived atom carries its provenance as a set of derivation paths,
-every path being the set of mapping ids it relied on.  The empty path
-marks a purely local derivation and has probability one; a path's
+every path being the set of mapping ids it relied on; that path set is
+the engine's annotation, so an atom re-enters the engine's delta
+whenever its set of minimal paths changes.  The empty path marks a
+purely local derivation and has probability one; a path's
 probability is the product over its mappings (independent mappings must
 all hold); alternative paths combine by noisy-OR.  Conjunctive queries
 multiply conjunct probabilities while provenance is disjoint and switch
@@ -31,20 +34,19 @@ from .errors import (
 )
 from .kb import (
     Atom,
-    ClassAtom,
     EntityName,
-    HornRule,
-    Individual,
     KnowledgeBase,
-    PropertyAtom,
     PropertyDomain,
     PropertyRange,
     SubClassOf,
     UnionEquivalence,
     Variable,
+    atom_predicate,
     atom_terms,
+    fixpoint,
+    index_facts,
     is_ground,
-    match_rule_body,
+    match_body,
     substitute,
 )
 
@@ -52,10 +54,6 @@ EXACT_ENUMERATION_LIMIT = 16
 
 Path = frozenset  # of mapping ids
 PathSet = frozenset  # of Path
-
-
-def atom_predicate(atom: Atom) -> EntityName:
-    return atom.concept if isinstance(atom, ClassAtom) else atom.prop
 
 
 def _variables(atom: Atom) -> frozenset[Variable]:
@@ -141,6 +139,9 @@ def combine_noisy_or(ps: Sequence[float]) -> float:
     return 1.0 - math.prod(1.0 - p for p in ps)
 
 
+LOCAL: PathSet = frozenset({frozenset()})  # the annotation of a local A-Box fact
+
+
 def _canonical(paths: Iterable[Path]) -> PathSet:
     """Keep the local path plus the subset-minimal mapped paths.
 
@@ -154,6 +155,18 @@ def _canonical(paths: Iterable[Path]) -> PathSet:
     if frozenset() in set(paths) or any(not p for p in paths):
         minimal.add(frozenset())
     return frozenset(minimal)
+
+
+def _disjoin(a: PathSet, b: PathSet) -> PathSet:
+    return _canonical(a | b)
+
+
+def _conjoin(premises: list[PathSet]) -> PathSet:
+    """The paths of a rule firing: one path of each premise, united."""
+    combos = {frozenset()}
+    for paths in premises:
+        combos = {c | p for c in combos for p in paths}
+    return _canonical(combos)
 
 
 def _path_probability(path: Path, prob_of: dict[str, float]) -> float:
@@ -215,64 +228,21 @@ def merge(
                 f"local ontology uses {', '.join(sorted(local_names))}"
             )
 
-    paths: dict[Atom, set[Path]] = {}
-
-    def add(atom: Atom, path: Path) -> bool:
-        existing = paths.setdefault(atom, set())
-        before = frozenset(existing)
-        updated = _canonical(existing | {path})
-        if updated != before:
-            existing.clear()
-            existing.update(updated)
-            return True
-        return False
-
-    for atom in local.abox:
-        add(atom, frozenset())
+    seeds: dict[Atom, PathSet] = dict.fromkeys(local.abox, LOCAL)
+    external_facts = index_facts(external.abox)
     for m in mappings:
-        for atom in sorted(external.abox, key=str):
-            for binding in match_rule_body((m.source,), (atom,)):
-                mapped = substitute(m.target, binding)
-                if is_ground(mapped):
-                    add(mapped, frozenset({m.mapping_id}))
-
-    subclass = sorted((ax for ax in local.tbox if isinstance(ax, SubClassOf)), key=str)
-    unions = sorted((ax for ax in local.tbox if isinstance(ax, UnionEquivalence)), key=str)
-    domains = sorted((ax for ax in local.tbox if isinstance(ax, PropertyDomain)), key=str)
-    ranges = sorted((ax for ax in local.tbox if isinstance(ax, PropertyRange)), key=str)
-    rules = sorted(local.rbox, key=lambda r: r.rule_id)
-
-    changed = True
-    while changed:
-        changed = False
-        for atom in sorted(paths, key=str):
-            atom_paths = list(paths[atom])
-            heads: list[Atom] = []
-            if isinstance(atom, ClassAtom):
-                heads.extend(ClassAtom(ax.sup, atom.subject) for ax in subclass if ax.sub == atom.concept)
-                heads.extend(ClassAtom(ax.whole, atom.subject) for ax in unions if atom.concept in ax.parts)
-            else:
-                heads.extend(ClassAtom(ax.concept, atom.subject) for ax in domains if ax.prop == atom.prop)
-                heads.extend(ClassAtom(ax.concept, atom.object) for ax in ranges if ax.prop == atom.prop)
-            for head in heads:
-                for path in atom_paths:
-                    changed |= add(head, path)
-        for rule in rules:
-            facts = sorted(paths, key=str)
-            for binding in match_rule_body(rule.body, facts):
-                premises = [substitute(b, binding) for b in rule.body]
-                head = substitute(rule.head, binding)
-                combos: list[Path] = [frozenset()]
-                for premise in premises:
-                    combos = [c | p for c in combos for p in sorted(paths[premise], key=sorted)]
-                for path in combos:
-                    changed |= add(head, path)
+        path = frozenset({frozenset({m.mapping_id})})
+        for binding in match_body((m.source,), external_facts):
+            mapped = substitute(m.target, binding)
+            if is_ground(mapped):
+                seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
+    paths = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin)
 
     prob_of = {m.mapping_id: m.probability for m in mappings}
-    derived = {}
-    for atom in sorted(paths, key=str):
-        pset = frozenset(paths[atom])
-        derived[atom] = DerivedFact(atom, fact_probability(pset, prob_of), pset)
+    derived = {
+        atom: DerivedFact(atom, fact_probability(paths[atom], prob_of), paths[atom])
+        for atom in sorted(paths, key=str)
+    }
     return MergedKB(local, external, tuple(mappings), derived)
 
 
@@ -324,11 +294,8 @@ def query(
         base[atom] = usable
 
     answers = []
-    for binding in match_rule_body(tuple(conjuncts), sorted(base, key=str)):
-        bound = [substitute(c, binding) for c in conjuncts]
-        if any(atom not in base for atom in bound):
-            continue
-        conjunct_paths = [base[atom] for atom in bound]
+    for binding in match_body(tuple(conjuncts), index_facts(base)):
+        conjunct_paths = [base[substitute(c, binding)] for c in conjuncts]
         flat = [p for ps in conjunct_paths for p in ps]
         disjoint = all(
             sum(1 for p in flat if m in p) <= 1 for p in flat for m in p

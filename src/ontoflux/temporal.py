@@ -13,6 +13,7 @@ Fulfilled or Violated, and the terminal states are absorbing.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -118,8 +119,10 @@ class ActionRecord:
     targets: tuple[str, ...] = ()  # ontology identifiers the action touches
 
     def __post_init__(self):
-        if self.at < 0:
-            raise MalformedItemError(f"action {self.action_id}: occurrence time must be nonnegative")
+        if not math.isfinite(self.at) or self.at < 0:
+            raise MalformedItemError(
+                f"action {self.action_id}: occurrence time must be finite and nonnegative, got {self.at}"
+            )
 
 
 @dataclass(frozen=True)

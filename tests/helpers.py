@@ -1,8 +1,14 @@
-"""Shared test utilities: a random KB generator and a possible-worlds oracle.
+"""Shared test utilities: a reference reasoner, a random KB generator and
+a possible-worlds oracle.
+
+``reference_saturate`` is the naive forward chainer: every round fires
+every axiom on every atom and joins rule bodies by nested loops over
+all facts.  It shares no code with the library's semi-naive engine, so
+the engine can be tested against it.
 
 The oracle marginalizes a conjunctive query over every subset of the
-mappings by brute force.  It shares the deterministic reasoner with the
-library but none of the derivation-path bookkeeping, so agreement is
+mappings by brute force, on top of the reference chainer.  It shares
+none of the library's derivation-path bookkeeping, so agreement is
 meaningful evidence that the noisy-OR / minimal-path scoring is right.
 """
 
@@ -25,14 +31,94 @@ from ontoflux.kb import (
     PropertyRange,
     SubClassOf,
     UnionEquivalence,
+    Term,
     Variable,
     assert_all,
     is_ground,
-    match_rule_body,
-    saturate,
     substitute,
 )
 from ontoflux.merging import Mapping
+
+
+# --- reference forward chainer -------------------------------------------
+
+
+def _match_term(pattern: Term, value: Individual, binding: dict) -> dict | None:
+    if isinstance(pattern, Individual):
+        return binding if pattern == value else None
+    bound = binding.get(pattern)
+    if bound is None:
+        out = dict(binding)
+        out[pattern] = value
+        return out
+    return binding if bound == value else None
+
+
+def _match_atom(pattern: Atom, fact: Atom, binding: dict) -> dict | None:
+    if isinstance(pattern, ClassAtom):
+        if not isinstance(fact, ClassAtom) or pattern.concept != fact.concept:
+            return None
+        return _match_term(pattern.subject, fact.subject, binding)
+    if not isinstance(fact, PropertyAtom) or pattern.prop != fact.prop:
+        return None
+    binding = _match_term(pattern.subject, fact.subject, binding)
+    if binding is None:
+        return None
+    return _match_term(pattern.object, fact.object, binding)
+
+
+def match_rule_body(body: tuple[Atom, ...], facts) -> list[dict]:
+    """All variable bindings under which every body atom matches a fact."""
+    facts = list(facts)
+    bindings = [{}]
+    for pattern in body:
+        extended = []
+        for binding in bindings:
+            for fact in facts:
+                out = _match_atom(pattern, fact, binding)
+                if out is not None:
+                    extended.append(out)
+        bindings = extended
+        if not bindings:
+            break
+    return bindings
+
+
+def reference_saturate(kb: KnowledgeBase) -> frozenset[Atom]:
+    """Naive least fixpoint of the ground atoms derivable from the KB."""
+    atoms: set[Atom] = set(kb.abox)
+    subclass = [ax for ax in kb.tbox if isinstance(ax, SubClassOf)]
+    unions = [ax for ax in kb.tbox if isinstance(ax, UnionEquivalence)]
+    domains = [ax for ax in kb.tbox if isinstance(ax, PropertyDomain)]
+    ranges = [ax for ax in kb.tbox if isinstance(ax, PropertyRange)]
+    rules = list(kb.rbox)
+
+    changed = True
+    while changed:
+        changed = False
+        fresh: set[Atom] = set()
+        for a in atoms:
+            if isinstance(a, ClassAtom):
+                for ax in subclass:
+                    if ax.sub == a.concept:
+                        fresh.add(ClassAtom(ax.sup, a.subject))
+                for ax in unions:
+                    if a.concept in ax.parts:
+                        fresh.add(ClassAtom(ax.whole, a.subject))
+            else:
+                for ax in domains:
+                    if ax.prop == a.prop:
+                        fresh.add(ClassAtom(ax.concept, a.subject))
+                for ax in ranges:
+                    if ax.prop == a.prop:
+                        fresh.add(ClassAtom(ax.concept, a.object))
+        for rule in rules:
+            for binding in match_rule_body(rule.body, atoms):
+                fresh.add(substitute(rule.head, binding))
+        if not fresh <= atoms:
+            atoms |= fresh
+            changed = True
+    return frozenset(atoms)
 
 
 # --- possible-worlds oracle ----------------------------------------------
@@ -49,7 +135,7 @@ def _mapped_atoms(external: KnowledgeBase, held: Sequence[Mapping]) -> set[Atom]
     return out
 
 
-def _world_support(
+def world_support(
     local: KnowledgeBase, external: KnowledgeBase, held: Sequence[Mapping]
 ) -> tuple[frozenset[Atom], frozenset[Atom]]:
     """(derivable, mapped-support) atom sets for one world.
@@ -63,7 +149,7 @@ def _world_support(
         KnowledgeBase(local.tbox, {}, local.rbox),
         [ABoxAssertion(a, 0.0) for a in sorted(base, key=str)],
     )
-    derivable = saturate(world)
+    derivable = reference_saturate(world)
 
     supported = set(mapped)
     changed = True
@@ -115,7 +201,7 @@ def world_scores(
             weight *= m.probability if bits >> i & 1 else 1.0 - m.probability
         if weight == 0.0:
             continue
-        derivable, supported = _world_support(local, external, held)
+        derivable, supported = world_support(local, external, held)
         facts = supported if mapped_only else derivable
         for binding in match_rule_body(tuple(conjuncts), sorted(facts, key=str)):
             bound = [substitute(c, binding) for c in conjuncts]

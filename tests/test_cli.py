@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ontoflux
 from ontoflux.cli import _parse_seed_range, main
 from ontoflux.errors import OntofluxError
 from ontoflux.io import RESULT_FIELDS
@@ -306,6 +308,8 @@ def test_monitor_foreign_mapping_target_is_exit_1(capsys, fixture_path) -> None:
 
 
 def test_console_process_round(fixture_path) -> None:
+    # the child imports the same checkout as this process, whether or not it is installed
+    package_root = str(Path(ontoflux.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [
             sys.executable,
@@ -319,7 +323,7 @@ def test_console_process_round(fixture_path) -> None:
         ],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "ONTOFLUX_LOG": "debug"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "ONTOFLUX_LOG": "debug"},
     )
     assert proc.returncode == 0
     assert proc.stdout.split("\n")[0] == "x=Trip p=1.000000000"

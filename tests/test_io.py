@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ontoflux.errors import (
     InvalidConfigError,
+    MalformedItemError,
     ParseError,
     ProbabilityOutOfRangeError,
     UnresolvedNameError,
@@ -339,6 +340,14 @@ def test_parse_events_shapes() -> None:
     assert events[1] == ActionRecord(
         1.25, "a1", name("up", "Action"), name(INSTANCE_NAMESPACE, "Bot"), ("O1", "O2")
     )
+
+
+@pytest.mark.parametrize(
+    "line", ["at 1e999 assert up:Event(E)", "at 1e999 action a1 up:Action by Bot"]
+)
+def test_parse_events_rejects_an_infinite_time(line) -> None:
+    with pytest.raises(MalformedItemError):
+        parse_events(line + "\n")
 
 
 def test_parse_events_bad_verb() -> None:

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_assertion, random_kb
+from helpers import random_assertion, random_kb, reference_saturate
 from ontoflux.errors import MalformedItemError
 from ontoflux.kb import (
     ABoxAssertion,
@@ -29,7 +30,9 @@ from ontoflux.kb import (
     check_disjointness,
     close_class,
     entailed_members,
+    index_facts,
     is_member,
+    match_body,
     saturate,
 )
 
@@ -269,3 +272,99 @@ def test_membership_answers_are_consistent(seed):
             assert answer is Truth.TRUE
         else:
             assert answer is Truth.FALSE
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_saturation_matches_the_reference_chainer(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng)
+    assert saturate(kb) == reference_saturate(kb)
+    larger = assert_item(kb, random_assertion(rng, kb))
+    assert saturate(larger) == reference_saturate(larger)
+
+
+@pytest.mark.parametrize("when", [-1.0, math.nan, math.inf, -math.inf])
+def test_assertion_time_must_be_finite_and_nonnegative(when):
+    with pytest.raises(MalformedItemError):
+        ABoxAssertion(ClassAtom(EVENT, ind("late")), when)
+
+
+# --- indexed rule join and the per-KB memo --------------------------------
+
+
+X, Y = Variable("x"), Variable("y")
+LINK = n("link")
+
+
+def test_join_binds_a_repeated_variable_once():
+    loop = HornRule("self", (PropertyAtom(LINK, X, X),), ClassAtom(n("Loop"), X))
+    kb = assert_all(
+        KnowledgeBase.empty(),
+        [
+            loop,
+            ABoxAssertion(PropertyAtom(LINK, ind("a"), ind("a"))),
+            ABoxAssertion(PropertyAtom(LINK, ind("a"), ind("b"))),
+        ],
+    )
+    loops = {a for a in saturate(kb) if isinstance(a, ClassAtom) and a.concept == n("Loop")}
+    assert loops == {ClassAtom(n("Loop"), ind("a"))}
+
+
+def test_join_matches_a_constant_individual():
+    body = (ClassAtom(EVENT, X), PropertyAtom(ABOUT, X, ind("sea")))
+    kb = assert_all(
+        KnowledgeBase.empty(),
+        [
+            HornRule("maritime", body, ClassAtom(n("Maritime"), X)),
+            ABoxAssertion(ClassAtom(EVENT, ind("trip"))),
+            ABoxAssertion(ClassAtom(EVENT, ind("gala"))),
+            ABoxAssertion(PropertyAtom(ABOUT, ind("trip"), ind("sea"))),
+            ABoxAssertion(PropertyAtom(ABOUT, ind("gala"), ind("music"))),
+        ],
+    )
+    matched = match_body(body, index_facts(kb.abox))
+    assert matched == [{X: ind("trip")}]
+    assert ClassAtom(n("Maritime"), ind("trip")) in saturate(kb)
+    assert ClassAtom(n("Maritime"), ind("gala")) not in saturate(kb)
+
+
+def test_join_fires_when_only_the_last_conjunct_is_new():
+    body = (ClassAtom(n("A"), X), PropertyAtom(LINK, X, Y), ClassAtom(n("D"), Y))
+    old = [ClassAtom(n("A"), ind("a")), PropertyAtom(LINK, ind("a"), ind("b"))]
+    new = ClassAtom(n("D"), ind("b"))
+    index = index_facts(old + [new])
+    assert match_body(body, index, delta=index_facts([new])) == [{X: ind("a"), Y: ind("b")}]
+    assert match_body(body, index, delta=index_facts([ClassAtom(n("D"), ind("c"))])) == []
+
+    # D(b) is derived in the first round, so the rule fires on it in the second
+    kb = assert_all(
+        KnowledgeBase.empty(),
+        [HornRule("r", body, ClassAtom(n("H"), X)), SubClassOf(n("C"), n("D"))]
+        + [ABoxAssertion(a) for a in old]
+        + [ABoxAssertion(ClassAtom(n("C"), ind("b")))],
+    )
+    assert ClassAtom(n("H"), ind("a")) in saturate(kb)
+
+
+def test_memoized_saturation_follows_assertions_and_closures():
+    kb = assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT)])
+    assert saturate(kb) == frozenset()
+    grown = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("move"))))
+    assert ClassAtom(EVENT, ind("move")) in saturate(grown)
+    assert is_member(grown, n("move", "i"), EVENT) is Truth.TRUE
+    assert close_class(grown, EVENT, now=1.0).closures[EVENT].members == {n("move", "i")}
+    assert saturate(kb) == frozenset()
+
+    closed = close_class(grown, EVENT, now=1.0)
+    fresh = close_class(
+        assert_all(
+            KnowledgeBase.empty(),
+            [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, ind("move")))],
+        ),
+        EVENT,
+        now=1.0,
+    )
+    assert saturate(closed) is saturate(grown)  # a closure keeps its parent's fixpoint
+    assert closed == fresh
+    assert repr(closed) == repr(fresh)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import world_scores
+from helpers import random_kb, world_scores, world_support
 from ontoflux.errors import (
     MalformedItemError,
     NamespaceClashError,
@@ -19,12 +19,14 @@ from ontoflux.kb import (
     HornRule,
     Individual,
     KnowledgeBase,
+    PropertyAtom,
     SubClassOf,
     Variable,
     assert_all,
 )
 from ontoflux.merging import (
     Mapping,
+    atom_predicate,
     combine_noisy_or,
     complement,
     fact_probability,
@@ -32,7 +34,7 @@ from ontoflux.merging import (
     query,
 )
 
-X = Variable("x")
+X, Y = Variable("x"), Variable("y")
 
 
 def local_name(token: str) -> EntityName:
@@ -283,3 +285,49 @@ def test_extra_mappings_never_lower_fact_probabilities(seed):
         grown = bigger.fact(atom)
         assert grown is not None
         assert grown.probability >= fact.probability - 1e-15
+
+
+def random_kb_scenario(rng: random.Random):
+    """A ``random_kb`` local ontology, with class and property mappings into its vocabulary."""
+    local = random_kb(rng)
+    vocabulary = [atom_predicate(a) for a in local.abox]
+    vocabulary += [atom_predicate(r.head) for r in local.rbox]
+    vocabulary += [name for ax in local.tbox for name in vars(ax).values() if isinstance(name, EntityName)]
+    ns = vocabulary[0].namespace if vocabulary else "A"
+    people = [ind(f"x{i}") for i in range(4)]
+    sources = [ext_name(f"D{i}") for i in range(2)]
+    link = ext_name("q")
+    external = kb_of(
+        *[
+            ABoxAssertion(ClassAtom(rng.choice(sources), rng.choice(people)))
+            for _ in range(rng.randint(1, 4))
+        ],
+        *[
+            ABoxAssertion(PropertyAtom(link, rng.choice(people), rng.choice(people)))
+            for _ in range(rng.randint(0, 3))
+        ],
+    )
+    mappings = [
+        Mapping(
+            f"m{k}",
+            ClassAtom(EntityName(ns, f"C{rng.randint(0, 3)}"), X),
+            ClassAtom(rng.choice(sources), X),
+            0.5,
+        )
+        for k in range(rng.randint(1, 3))
+    ]
+    target = PropertyAtom(EntityName(ns, "p0"), X, Y)
+    mappings.append(Mapping("mp", target, PropertyAtom(link, X, Y), 0.5))
+    return local, external, mappings
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_merged_atoms_are_the_reference_saturation_of_the_all_mappings_world(seed, from_random_kb):
+    rng = random.Random(seed)
+    if from_random_kb:
+        local, external, mappings = random_kb_scenario(rng)
+    else:
+        local, external, mappings, _ = random_scenario(rng)
+    derivable, _ = world_support(local, external, mappings)
+    assert set(merge(local, external, mappings).derived) == derivable

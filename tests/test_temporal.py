@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,12 @@ def test_missing_axioms_are_each_reported():
 def test_action_record_rejects_negative_time():
     with pytest.raises(MalformedItemError):
         record(-0.5)
+
+
+@pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+def test_action_record_rejects_non_finite_time(at):
+    with pytest.raises(MalformedItemError):
+        record(at)
 
 
 def test_pattern_matches_kind_and_optional_target():
