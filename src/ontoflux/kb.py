@@ -13,11 +13,19 @@ concept and property, runs semi-naive rounds (each round fires only on
 the atoms that are new or changed in the previous one) and joins rule
 bodies through a per-predicate fact index.  Each atom carries an
 annotation that the caller defines: ``saturate`` uses plain membership,
-``merging`` the atom's minimal derivation paths.  The saturation is
-memoized on the knowledge base itself, so repeated closure and
-membership queries against one KB cost one fixpoint; a KB made by
-``close_class`` shares its parent's memo, since its T-, A- and R-Box are
-the same.
+``merging`` the atom's minimal derivation paths.  The engine can also
+continue an earlier result: given an already-closed atom set and new
+seeds, only the seeds that add to it start the rounds.  Computing from
+scratch is continuing from nothing.
+
+The saturation is memoized on the knowledge base itself, so repeated
+closure and membership queries against one KB cost one fixpoint.  A KB
+made by ``close_class``, or by re-asserting a known atom, shares its
+parent's memo, since its T-Box, R-Box and A-Box atoms are the same.  A
+KB made by asserting a new A-Box atom extends its parent's memo: it
+keeps the last saturation computed along its line of parents, and
+saturating it continues from there, so a growing A-Box costs only the
+new consequences.  A T-Box or R-Box assertion starts a fresh memo.
 
 Queries are three-valued.  Membership that can be derived is True;
 membership in a class whose extension has been explicitly closed is
@@ -233,12 +241,22 @@ class Violation:
 
 
 class _Memo:
-    """The saturation of every KB sharing this memo: they have one T-, A- and R-Box."""
+    """The saturation of every KB sharing this memo: they have one T-, A- and R-Box.
 
-    __slots__ = ("atoms",)
+    Until it is computed, ``base`` may hold the saturation of a KB with
+    the same T- and R-Box and a subset of the A-Box; saturating
+    continues from it and then drops it.
+    """
 
-    def __init__(self):
+    __slots__ = ("atoms", "base")
+
+    def __init__(self, base: frozenset[Atom] | None = None):
         self.atoms: frozenset[Atom] | None = None
+        self.base = base
+
+    def extended(self) -> "_Memo":
+        """The memo of a KB with more A-Box atoms."""
+        return _Memo(self.base if self.atoms is None else self.atoms)
 
 
 @dataclass(frozen=True)
@@ -260,7 +278,8 @@ class KnowledgeBase:
         return KnowledgeBase()
 
     def assertions(self) -> list[ABoxAssertion]:
-        return [ABoxAssertion(a, t) for a, t in sorted(self.abox.items())]
+        """The A-Box in ``str(atom)`` order (class and property atoms do not compare)."""
+        return [ABoxAssertion(a, self.abox[a]) for a in sorted(self.abox, key=str)]
 
 
 KBItem = Union[TBoxAxiom, ABoxAssertion, HornRule]
@@ -277,8 +296,9 @@ def assert_item(kb: KnowledgeBase, item: KBItem) -> KnowledgeBase:
         if existing is not None and existing <= item.asserted_at:
             return kb
         abox = dict(kb.abox)
-        abox[item.atom] = item.asserted_at if existing is None else min(existing, item.asserted_at)
-        return KnowledgeBase(kb.tbox, abox, kb.rbox, dict(kb.closures))
+        abox[item.atom] = item.asserted_at
+        memo = kb._memo if existing is not None else kb._memo.extended()
+        return KnowledgeBase(kb.tbox, abox, kb.rbox, dict(kb.closures), memo)
     if isinstance(item, HornRule):
         if item in kb.rbox:
             return kb
@@ -416,6 +436,7 @@ def fixpoint(
     seeds: dict[Atom, Annotation],
     conjoin: Callable[[list[Annotation]], Annotation],
     disjoin: Callable[[Annotation, Annotation], Annotation],
+    closed: dict[Atom, Annotation] | None = None,
 ) -> dict[Atom, Annotation]:
     """Least fixpoint of the T-Box and R-Box over annotated ground atoms.
 
@@ -428,12 +449,23 @@ def fixpoint(
     rule bodies through a per-predicate index.  Terminates when
     annotations form a finite lattice, as sets of atoms and of
     mapping-id paths over a finite KB do.
+
+    ``closed``, if given, is a result of this function for the same
+    T-Box, R-Box and annotations; the rounds continue it, and only the
+    seeds whose annotation it lacks or changes enter the first delta.
+    The annotations form a semiring and the fixpoint does not depend
+    on evaluation order, so continuing equals computing from scratch.
     """
     heads = _tbox_heads(tbox)
     rules = list(rbox)
-    facts = dict(seeds)
-    index = index_facts(facts)
-    delta = index_facts(facts)
+    if closed:
+        facts = dict(closed)
+        index = index_facts(facts)
+        delta = _absorb(facts, seeds, disjoin, index)
+    else:  # every seed is new
+        facts = dict(seeds)
+        index = index_facts(facts)
+        delta = index_facts(facts)
     while delta:
         fresh: dict[Atom, Annotation] = {}
 
@@ -451,18 +483,24 @@ def fixpoint(
                     substitute(rule.head, binding),
                     conjoin([facts[substitute(b, binding)] for b in rule.body]),
                 )
-        delta = {}
-        for atom, annotation in fresh.items():
-            prior = facts.get(atom)
-            if prior is not None:
-                annotation = disjoin(prior, annotation)
-                if annotation == prior:
-                    continue
-            facts[atom] = annotation
-            pred = atom_predicate(atom)
-            index.setdefault(pred, set()).add(atom)
-            delta.setdefault(pred, set()).add(atom)
+        delta = _absorb(facts, fresh, disjoin, index)
     return facts
+
+
+def _absorb(facts: dict, fresh: dict, disjoin: Callable, index: FactIndex) -> FactIndex:
+    """Add ``fresh`` to ``facts`` and ``index``; the index of the atoms new or changed."""
+    delta: FactIndex = {}
+    for atom, annotation in fresh.items():
+        prior = facts.get(atom)
+        if prior is not None:
+            annotation = disjoin(prior, annotation)
+            if annotation == prior:
+                continue
+        facts[atom] = annotation
+        pred = atom_predicate(atom)
+        index.setdefault(pred, set()).add(atom)
+        delta.setdefault(pred, set()).add(atom)
+    return delta
 
 
 def _holds(*_) -> bool:
@@ -476,12 +514,14 @@ def saturate(kb: KnowledgeBase) -> frozenset[Atom]:
     part-to-whole propagation, property domain/range inference, and
     Horn-rule firing over known individuals.  Terminates because the
     ground atom space over the KB's individuals is finite.  The result
-    is computed once per KB and kept on it.
+    is computed once per KB and kept on it; a KB that extends its
+    parent's memo continues the parent's saturation.
     """
     memo = kb._memo
     if memo.atoms is None:
-        seeds = dict.fromkeys(kb.abox, True)
-        memo.atoms = frozenset(fixpoint(kb.tbox, kb.rbox, seeds, _holds, _holds))
+        seeds, closed = dict.fromkeys(kb.abox, True), dict.fromkeys(memo.base or (), True)
+        memo.atoms = frozenset(fixpoint(kb.tbox, kb.rbox, seeds, _holds, _holds, closed))
+        memo.base = None
     return memo.atoms
 
 

@@ -5,7 +5,10 @@ namespace, a target pattern over the local namespace, and the
 probability that instances of the source belong to the target.  A merge
 applies every mapping to every asserted external ground fact, then
 chains the resulting local atoms through the local T-Box and R-Box with
-the knowledge base's semi-naive engine (``kb.fixpoint``).
+the knowledge base's semi-naive engine (``kb.fixpoint``).  A merge may
+name an earlier merge as its ``parent``: when only the local A-Box grew
+since, it continues the parent's fixpoint with the new local facts as
+seeds and keeps the parent's facts whose paths did not change.
 
 Each derived atom carries its provenance as a set of derivation paths,
 every path being the set of mapping ids it relied on; that path set is
@@ -169,21 +172,20 @@ def _conjoin(premises: list[PathSet]) -> PathSet:
     return _canonical(combos)
 
 
-def _path_probability(path: Path, prob_of: dict[str, float]) -> float:
-    return math.prod(prob_of[m] for m in path) if path else 1.0
-
-
 def fact_probability(
     paths: PathSet, prob_of: dict[str, float], mapped_only: bool = False
 ) -> Optional[float]:
     """Noisy-OR score of a path set; None when no usable path remains."""
-    usable = [p for p in paths if p] if mapped_only else list(paths)
+    if not mapped_only and frozenset() in paths:
+        return 1.0
+    usable = [p for p in paths if p]
     if not usable:
         return None
-    if any(not p for p in usable):
-        return 1.0
-    minimal = [p for p in usable if not any(q < p for q in usable)]
-    return combine_noisy_or([_path_probability(p, prob_of) for p in minimal])
+    if len(usable) > 1:
+        usable = [p for p in usable if not any(q < p for q in usable)]
+    # a set iterates in the order of the per-process string hashes, and a
+    # product's rounding depends on the order of its factors: sort them
+    return combine_noisy_or(sorted(math.prod(sorted(prob_of[m] for m in p)) for p in usable))
 
 
 def _local_namespaces(kb: KnowledgeBase) -> set[str]:
@@ -210,15 +212,47 @@ def _local_namespaces(kb: KnowledgeBase) -> set[str]:
     return names
 
 
+def _added_atoms(
+    parent: Optional[MergedKB], local: KnowledgeBase, external: KnowledgeBase, mappings: tuple
+) -> Optional[set[Atom]]:
+    """The local A-Box atoms ``parent`` lacks, if it merged a subset of them
+    with the same external KB, mappings, T-Box and R-Box; else None."""
+    if parent is None or (parent.external, parent.mappings, parent.local.tbox, parent.local.rbox) != (
+        external, mappings, local.tbox, local.rbox
+    ):
+        return None
+    before = parent.local.abox
+    if before == local.abox:  # by the dicts' stored hashes: no atom is hashed again
+        return set()
+    added = set(local.abox).difference(before)
+    return added if len(local.abox) - len(added) == len(before) else None
+
+
 def merge(
-    local: KnowledgeBase, external: KnowledgeBase, mappings: Sequence[Mapping]
+    local: KnowledgeBase,
+    external: KnowledgeBase,
+    mappings: Sequence[Mapping],
+    *,
+    parent: Optional[MergedKB] = None,
 ) -> MergedKB:
     """Derive the merged fact set: local facts, mapped facts, local chaining.
 
     Mappings consume the external A-Box as asserted; chaining afterwards
     uses only the local T-Box and R-Box.  Multiple derivations of one
     atom keep all (minimal) paths and combine by noisy-OR.
+
+    ``parent`` is an earlier merge to continue.  If it merged the same
+    external KB, mappings, T-Box and R-Box, and a subset of the local
+    A-Box atoms, its path sets are the closed start of the fixpoint and
+    the new local atoms its seeds; facts whose paths did not change are
+    reused, and with no new atom its ``derived`` is returned as is.  In
+    every other case the merge starts from scratch.
     """
+    mappings = tuple(mappings)
+    added = _added_atoms(parent, local, external, mappings)
+    if added is not None and not added:
+        return MergedKB(local, external, mappings, parent.derived)
+
     local_names = _local_namespaces(local)
     for m in mappings:
         target_ns = atom_predicate(m.target).namespace
@@ -228,22 +262,29 @@ def merge(
                 f"local ontology uses {', '.join(sorted(local_names))}"
             )
 
-    seeds: dict[Atom, PathSet] = dict.fromkeys(local.abox, LOCAL)
-    external_facts = index_facts(external.abox)
-    for m in mappings:
-        path = frozenset({frozenset({m.mapping_id})})
-        for binding in match_body((m.source,), external_facts):
-            mapped = substitute(m.target, binding)
-            if is_ground(mapped):
-                seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
-    paths = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin)
+    known: dict[Atom, DerivedFact] = {}
+    if added is None:
+        seeds: dict[Atom, PathSet] = dict.fromkeys(local.abox, LOCAL)
+        external_facts = index_facts(external.abox)
+        for m in mappings:
+            path = frozenset({frozenset({m.mapping_id})})
+            for binding in match_body((m.source,), external_facts):
+                mapped = substitute(m.target, binding)
+                if is_ground(mapped):
+                    seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
+    else:
+        known, seeds = parent.derived, dict.fromkeys(added, LOCAL)
+    closed = {atom: fact.paths for atom, fact in known.items()}
+    paths = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin, closed)
 
     prob_of = {m.mapping_id: m.probability for m in mappings}
-    derived = {
-        atom: DerivedFact(atom, fact_probability(paths[atom], prob_of), paths[atom])
-        for atom in sorted(paths, key=str)
-    }
-    return MergedKB(local, external, tuple(mappings), derived)
+    derived = {}
+    for atom, ps in sorted(paths.items(), key=lambda item: str(item[0])):
+        fact = known.get(atom) if known else None
+        if fact is None or fact.paths != ps:
+            fact = DerivedFact(atom, fact_probability(ps, prob_of), ps)
+        derived[atom] = fact
+    return MergedKB(local, external, mappings, derived)
 
 
 @dataclass(frozen=True)

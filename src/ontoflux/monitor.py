@@ -3,10 +3,20 @@
 Each tick advances the clock by exactly one time unit and performs, in
 order: (a) drain queued assertions whose timestamps fall in the tick's
 half-open window, (b) evaluate entailment and step every temporal
-proposition at the new time, consuming due action records, (c) apply
-the merge-acceptance policy to the candidate mappings and materialize
-the merged fact set, (d) re-close every configured concept, (e) commit
-the clock.  Every effect is appended to an append-only log with lines
+proposition at the new time on the action records drained this tick,
+(c) apply the merge-acceptance policy to the candidate mappings and
+materialize the merged fact set, (d) re-close every configured concept,
+(e) commit the clock.
+
+A tick costs what changed in it.  The A-Box only grows, so the
+knowledge base continues its last saturation with the drained facts,
+and step (c) continues the previous tick's merge: with no new fact and
+the same accepted mappings it keeps the previous fact set, otherwise it
+seeds the previous fixpoint with the new facts only.  Step (b) needs
+only the new records: an earlier record was already seen, at its own
+tick, by every proposition still pending.
+
+Every effect is appended to an append-only log with lines
 of the form ``tick=<n> step=<a..e> detail=<text>``; the log is
 deterministic for equal inputs and carries enough to replay the run.
 
@@ -156,7 +166,7 @@ def tick(
                 f"not entailed in {textio.format_name(agent_class)}"
             )
     action_log = state.action_log + tuple(due_actions)
-    propositions = tuple(step_all(state.propositions, action_log, now))
+    propositions = tuple(step_all(state.propositions, due_actions, now))
     for before, after in zip(state.propositions, propositions):
         if before.state is not after.state:
             log.append(
@@ -172,7 +182,7 @@ def tick(
             (atom_predicate(m.target), atom_predicate(m.source), m.probability) for m in accepted
         )
         if external_kb is not None:
-            merged = merge(kb, external_kb, accepted)
+            merged = merge(kb, external_kb, accepted, parent=state.merged)
         if accepted:
             ids = ",".join(m.mapping_id for m in accepted)
             log.append(f"tick={n} step=c detail=accept {ids}")

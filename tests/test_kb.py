@@ -368,3 +368,88 @@ def test_memoized_saturation_follows_assertions_and_closures():
     assert saturate(closed) is saturate(grown)  # a closure keeps its parent's fixpoint
     assert closed == fresh
     assert repr(closed) == repr(fresh)
+
+
+# --- continuing a saturation ---------------------------------------------
+
+
+def split_abox(kb: KnowledgeBase, rng: random.Random) -> tuple[KnowledgeBase, list[ABoxAssertion]]:
+    """``kb`` with about half its A-Box, and the other half as assertions in a random order."""
+    assertions = kb.assertions()
+    rng.shuffle(assertions)
+    half = len(assertions) // 2
+    first = KnowledgeBase(kb.tbox, {}, kb.rbox)
+    return assert_all(first, assertions[:half]), assertions[half:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_saturation_continued_over_new_assertions_equals_a_fresh_one(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_size=8)
+    grown, rest = split_abox(kb, rng)
+    saturate(grown)
+    for assertion in rest:
+        grown = assert_item(grown, assertion)
+        if rng.random() < 0.3:
+            saturate(grown)  # continue from here on, or from further back
+    fresh = KnowledgeBase(kb.tbox, dict(kb.abox), kb.rbox)
+    assert grown == kb
+    assert saturate(grown) == saturate(fresh) == reference_saturate(kb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_tbox_and_rbox_assertions_after_saturation_start_afresh(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_size=8)
+    bare = assert_all(KnowledgeBase(), kb.assertions())
+    saturate(bare)
+    for item in sorted(kb.tbox, key=str) + sorted(kb.rbox, key=str):
+        bare = assert_item(bare, item)
+        if rng.random() < 0.5:
+            assert saturate(bare) == reference_saturate(bare)
+    assert saturate(bare) == reference_saturate(kb)
+
+
+def test_new_assertion_extends_the_memo_and_a_known_one_keeps_it():
+    kb = assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT)])
+    kb = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("a")), 2.0))
+    before = saturate(kb)
+    # an earlier time for a known atom: the same atoms, so the same saturation
+    earlier = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("a")), 1.0))
+    assert earlier.abox[ClassAtom(ACTION, ind("a"))] == 1.0
+    assert saturate(earlier) is before
+    # new atoms continue the last computed saturation, and forget it once saturated
+    grown = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("b"))))
+    grown = assert_item(grown, ABoxAssertion(ClassAtom(AGENT, ind("c"))))
+    assert grown._memo.base is before
+    assert saturate(grown) == before | {
+        ClassAtom(ACTION, ind("b")), ClassAtom(EVENT, ind("b")), ClassAtom(AGENT, ind("c"))
+    }
+    assert grown._memo.base is None
+    assert saturate(kb) is before
+
+
+def test_schema_assertion_after_saturation_derives_the_new_consequences():
+    kb = assert_all(
+        KnowledgeBase.empty(),
+        [ABoxAssertion(ClassAtom(ACTION, ind("a"))), ABoxAssertion(PropertyAtom(ABOUT, ind("a"), ind("b")))],
+    )
+    assert saturate(kb) == set(kb.abox)
+    typed = assert_item(kb, SubClassOf(ACTION, EVENT))
+    assert ClassAtom(EVENT, ind("a")) in saturate(typed)
+    ruled = assert_item(
+        typed, HornRule("r", (PropertyAtom(ABOUT, Variable("x"), Variable("y")),), ClassAtom(ENTITY, Variable("y")))
+    )
+    assert ClassAtom(ENTITY, ind("b")) in saturate(ruled)
+    assert saturate(ruled) == reference_saturate(ruled)
+
+
+def test_assertions_list_class_and_property_atoms_together():
+    kb = assert_all(
+        KnowledgeBase.empty(),
+        [ABoxAssertion(PropertyAtom(ABOUT, ind("a"), ind("b")), 1.0), ABoxAssertion(ClassAtom(EVENT, ind("a")))],
+    )
+    assert [str(a.atom) for a in kb.assertions()] == ["O:Event(i:a)", "O:about(i:a, i:b)"]
+    assert assert_all(KnowledgeBase.empty(), kb.assertions()) == kb

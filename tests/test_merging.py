@@ -1,10 +1,14 @@
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontoflux
 from helpers import random_kb, world_scores, world_support
 from ontoflux.errors import (
     MalformedItemError,
@@ -23,6 +27,8 @@ from ontoflux.kb import (
     SubClassOf,
     Variable,
     assert_all,
+    assert_item,
+    close_class,
 )
 from ontoflux.merging import (
     Mapping,
@@ -331,3 +337,104 @@ def test_merged_atoms_are_the_reference_saturation_of_the_all_mappings_world(see
         local, external, mappings, _ = random_scenario(rng)
     derivable, _ = world_support(local, external, mappings)
     assert set(merge(local, external, mappings).derived) == derivable
+
+
+def test_fact_probability_does_not_depend_on_the_hash_seed():
+    # three factors whose product rounds differently in different orders
+    script = (
+        "from ontoflux.merging import fact_probability as f; F = frozenset; "
+        "print(repr(f(F({F({'m1'}), F({'m2'}), F({'m3'})}), {'m1': .67, 'm2': .71, 'm3': .73})), "
+        "repr(f(F({F({'m1', 'm2', 'm3'})}), {'m1': .1, 'm2': .3, 'm3': .7})))"
+    )
+    package_root = str(Path(ontoflux.__file__).resolve().parent.parent)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outputs) == 1, outputs
+
+
+# --- continuing a merge ----------------------------------------------------
+
+
+def split_local(local: KnowledgeBase, rng: random.Random) -> KnowledgeBase:
+    """``local`` with a random half of its A-Box."""
+    atoms = sorted(local.abox, key=str)
+    kept = rng.sample(atoms, len(atoms) // 2)
+    return KnowledgeBase(local.tbox, {a: local.abox[a] for a in kept}, local.rbox)
+
+
+def assert_same_merge(got, want) -> None:
+    assert got == want
+    assert [(a, f.paths, f.probability) for a, f in got.derived.items()] == [
+        (a, f.paths, f.probability) for a, f in want.derived.items()
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_merge_continued_from_a_parent_equals_a_fresh_merge(seed, from_random_kb):
+    rng = random.Random(seed)
+    if from_random_kb:
+        local, external, mappings = random_kb_scenario(rng)
+    else:
+        local, external, mappings, _ = random_scenario(rng)
+    half = split_local(local, rng)
+    parent = merge(half, external, mappings)
+    assert_same_merge(merge(half, external, mappings, parent=parent), parent)
+    assert_same_merge(merge(local, external, mappings, parent=parent), merge(local, external, mappings))
+
+
+def continuation_scenario() -> tuple[KnowledgeBase, KnowledgeBase, list[Mapping]]:
+    local = kb_of(
+        SubClassOf(local_name("A"), local_name("B")),
+        ABoxAssertion(ClassAtom(local_name("A"), ind("a"))),
+        ABoxAssertion(ClassAtom(local_name("B"), ind("b"))),
+    )
+    external = kb_of(
+        ABoxAssertion(ClassAtom(ext_name("D"), ind("c"))),
+        ABoxAssertion(ClassAtom(ext_name("E"), ind("d"))),
+    )
+    mappings = [class_mapping("m1", "A", "D", 0.6), class_mapping("m2", "A", "E", 0.7)]
+    return local, external, mappings
+
+
+def test_merge_unchanged_since_its_parent_reuses_the_parent_facts():
+    local, external, mappings = continuation_scenario()
+    parent = merge(local, external, mappings)
+    closed = close_class(local, local_name("B"), 1.0)
+    child = merge(closed, external, list(mappings), parent=parent)
+    assert child.local is closed
+    assert child.derived is parent.derived
+    grown = assert_item(closed, ABoxAssertion(ClassAtom(local_name("B"), ind("c"))))
+    continued = merge(grown, external, mappings, parent=parent)
+    assert_same_merge(continued, merge(grown, external, mappings))
+    assert continued.derived[ClassAtom(local_name("B"), ind("d"))] is parent.derived[
+        ClassAtom(local_name("B"), ind("d"))
+    ]
+
+
+def test_merge_starts_afresh_when_the_parent_differs_in_more_than_new_local_facts():
+    local, external, mappings = continuation_scenario()
+    parent = merge(local, external, mappings)
+    bigger_external = assert_item(external, ABoxAssertion(ClassAtom(ext_name("E"), ind("e"))))
+    shrunk = KnowledgeBase(local.tbox, {ClassAtom(local_name("A"), ind("a")): 0.0}, local.rbox)
+    grown = assert_item(local, ABoxAssertion(ClassAtom(local_name("A"), ind("z"))))
+    untyped = KnowledgeBase(frozenset(), dict(grown.abox), grown.rbox)
+    ruled = assert_item(local, HornRule("r", (ClassAtom(local_name("A"), X),), ClassAtom(local_name("C"), X)))
+    for args in [
+        (local, external, mappings[:1]),  # other mappings
+        (local, external, [class_mapping("m1", "A", "D", 0.9), mappings[1]]),
+        (local, kb_of(ABoxAssertion(ClassAtom(ext_name("D"), ind("c")))), mappings),  # other external KB
+        (grown, bigger_external, mappings),
+        (shrunk, external, mappings),  # shrunk A-Box
+        (untyped, external, mappings),  # other T-Box
+        (ruled, external, mappings),  # other R-Box
+    ]:
+        assert_same_merge(merge(*args, parent=parent), merge(*args))

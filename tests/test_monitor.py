@@ -1,8 +1,12 @@
+import random
+
 import pytest
+
+from helpers import reference_saturate
 
 from ontoflux import monitor
 from ontoflux.errors import ProbabilityOutOfRangeError, StaleEventError
-from ontoflux.io import parse_mappings, parse_ontology, parse_query
+from ontoflux.io import parse_events, parse_mappings, parse_ontology, parse_query
 from ontoflux.kb import (
     ABoxAssertion,
     ClassAtom,
@@ -13,8 +17,9 @@ from ontoflux.kb import (
     assert_all,
     entailed_members,
     is_member,
+    saturate,
 )
-from ontoflux.merging import query
+from ontoflux.merging import merge, query
 from ontoflux.monitor import MergePolicy, MonitorState, enqueue_event, record_action, tick
 from ontoflux.simulate import UpdateOrder
 from ontoflux.temporal import (
@@ -203,3 +208,102 @@ def test_merge_completion_becomes_monitor_events():
     for _ in range(4):
         state = tick(state)
     assert state.kb.closures[EVENT].members == frozenset({EntityName("i", "Merge_3")})
+
+
+# --- incremental ticks against fresh computation ----------------------------
+
+FIXTURE_EXTERNAL = """namespace X
+class X:Happening
+class X:Staff
+assert X:Happening(E3)
+assert X:Happening(E17)
+assert X:Happening(Late)
+assert X:Staff(A7)
+assert X:Staff(Bot)
+assert X:Staff(Nobody)
+"""
+FIXTURE_MAPPINGS = """map m1: up:Action(x) <- X:Happening(x) ; P(0.6)
+map m2: up:Event(x) <- X:Happening(x) ; P(0.7)
+map m3: up:Agent(x) <- X:Staff(x) ; P(0.8)
+map m4: up:Instant(x) <- X:Happening(x) ; P(0.3)
+"""
+
+
+def generated_episode(rng: random.Random, ticks: int):
+    """Ontology, events, external ontology and mappings of a random monitor run."""
+    onto = ["namespace O", "subclass up:Action up:Event", "disjoint up:Agent up:Event",
+            "union up:TemporalEntity = up:Instant | up:Interval", "property O:rel",
+            "domain O:rel O:C0", "range O:rel O:C2", "rule r1: O:C1(x), O:rel(x, y) -> O:C3(y)"]
+    onto += [f"subclass O:C{k} O:C{k + 1}" for k in range(3)]
+    people = [f"x{i}" for i in range(8)]
+    onto += [f"assert O:C{rng.randrange(4)}({x})" for x in people[:4]]
+    onto += ["assert up:Agent(a0)", "assert up:Agent(a1)"]
+    script = ["namespace O"]
+    for k in range(ticks // 2):
+        when = round(rng.uniform(0.01, ticks), 3)
+        if rng.random() < 0.5:
+            script.append(f"at {when} assert O:C{rng.randrange(4)}({rng.choice(people)})")
+        else:
+            a, b = rng.sample(people, 2)
+            script.append(f"at {when} assert O:rel({a}, {b})")
+        if rng.random() < 0.3:
+            script.append(f"at {when} action act{k} O:Review by a{rng.randrange(2)} target T{k % 3} T3")
+    external = ["namespace X", "class X:Obs", "property X:link"] + [f"assert X:Obs({x})" for x in rng.sample(people, 4)]
+    external += [f"assert X:link({a}, {b})" for a, b in (rng.sample(people, 2) for _ in range(4))]
+    mappings = [f"map m1: O:C0(x) <- X:Obs(x) ; P({rng.uniform(0.5, 0.9):.2f})",
+                f"map m2: O:rel(x, y) <- X:link(x, y) ; P({rng.uniform(0.5, 0.9):.2f})",
+                f"map m3: O:C3(x) <- X:Obs(x) ; P({rng.uniform(0.1, 0.4):.2f})"]
+    propositions = [
+        TemporalProposition(f"p{i}", Polarity.POSITIVE, ActionPattern(EntityName("O", "Review"), f"T{i % 3}"),
+                            Interval(float(i), float(i + 4)))
+        for i in range(0, ticks, 3)
+    ]
+    return (parse_ontology("\n".join(onto) + "\n"), parse_events("\n".join(script) + "\n"),
+            parse_ontology("\n".join(external) + "\n"), parse_mappings("\n".join(mappings) + "\n"),
+            propositions)
+
+
+def tick_against_fresh_computation(kb, closed, events, external, mappings, propositions, ticks):
+    policy = MergePolicy(0.25)
+    accepted = policy.accept(mappings)
+    state = monitor.init(kb, closed, propositions)
+    for e in events:
+        state = enqueue_event(state, e) if isinstance(e, ABoxAssertion) else record_action(state, e)
+    quiet = 0
+    for _ in range(ticks):
+        before = state
+        state = tick(state, policy, mappings, external)
+        drained = any(" step=a " in line for line in state.event_log[len(before.event_log):])
+        if before.merged is not None and not drained:
+            assert state.merged.derived is before.merged.derived  # nothing new: reused
+            quiet += 1
+        fresh = merge(state.merged.local, external, accepted)
+        assert state.merged == fresh
+        assert [(a, f.paths, f.probability) for a, f in state.merged.derived.items()] == [
+            (a, f.paths, f.probability) for a, f in fresh.derived.items()
+        ]
+        assert saturate(state.kb) == reference_saturate(state.kb)
+    replayed = monitor.replay_log(state.event_log, kb, closed, propositions, "up", policy, mappings, external)
+    assert replayed.event_log == state.event_log
+    assert quiet > 0
+    return state
+
+
+def test_incremental_ticks_equal_fresh_merges_on_the_fixture_script(fixture_text):
+    kb = parse_ontology(fixture_text("monitor_base.onto"))
+    events = parse_events(fixture_text("monitor_script.evt"))
+    state = tick_against_fresh_computation(
+        kb, (EVENT, AGENT), events, parse_ontology(FIXTURE_EXTERNAL), parse_mappings(FIXTURE_MAPPINGS), (), 52
+    )
+    assert state.merged.fact(ClassAtom(EVENT, ind("E3"))).paths == frozenset(
+        {frozenset(), frozenset({"m1"}), frozenset({"m2"})}
+    )
+
+
+@pytest.mark.parametrize("seed", [5])
+def test_incremental_ticks_equal_fresh_merges_on_a_generated_episode(seed):
+    kb, events, external, mappings, propositions = generated_episode(random.Random(seed), 30)
+    state = tick_against_fresh_computation(
+        kb, (EVENT, EntityName("O", "C3")), events, external, mappings, propositions, 32
+    )
+    assert len(state.kb.abox) > len(kb.abox) and any(p.terminal for p in state.propositions)

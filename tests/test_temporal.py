@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -202,3 +203,27 @@ def test_stepping_schedule_does_not_matter(window, log, nows, polarity):
     for now in sorted(nows):
         stepped = step_proposition(stepped, log, now)
     assert stepped.state is one_shot.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stepping_each_tick_on_its_new_records_equals_stepping_on_the_whole_log(seed):
+    # the monitor steps its propositions on the actions drained in each tick only
+    rng = random.Random(seed)
+    ticks = 12
+    times = sorted(round(rng.uniform(0.01, ticks), 2) for _ in range(rng.randint(0, 10)))
+    log = [
+        ActionRecord(t, f"a{i}", rng.choice([MERGE, OTHER]), EntityName("i", "Bot"), (rng.choice("AB"),))
+        for i, t in enumerate(times)
+    ]
+    props = []
+    for i in range(8):
+        start = rng.randint(0, ticks)
+        pattern = ActionPattern(MERGE, rng.choice([None, "A", "B"]))
+        polarity = rng.choice([Polarity.POSITIVE, Polarity.NEGATIVE])
+        props.append(TemporalProposition(f"p{i}", polarity, pattern, Interval(start, start + rng.randint(0, 4))))
+    on_new, on_log = props, props
+    for now in range(1, ticks + 2):
+        on_new = step_all(on_new, [r for r in log if now - 1 < r.at <= now], now)
+        on_log = step_all(on_log, [r for r in log if r.at <= now], now)
+        assert [p.state for p in on_new] == [p.state for p in on_log]
