@@ -24,6 +24,7 @@ column order; floats carry 9 significant digits.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import NoReturn, Optional, Sequence, Union
 
@@ -512,9 +513,12 @@ def parse_sim_config(text: str) -> SimConfig:
 
     def number(key: str) -> float:
         try:
-            return float(values[key])
+            value = float(values[key])
         except ValueError:
             raise InvalidConfigError(f"key {key}: not a number: {values[key]!r}") from None
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"key {key}: not a finite number: {values[key]!r}")
+        return value
 
     regimes = {r.value: r for r in Regime}
     if values["regime"] not in regimes:

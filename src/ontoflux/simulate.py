@@ -17,18 +17,20 @@ only in how an order's delivery time comes about:
   leads the loss fraction is the Erlang-B probability of an M/G/S/S
   system.
 
-One run is driven by a single seeded generator consumed in event
-order, so statistics are a pure function of the configuration.
+One run draws from two generators spawned from
+``np.random.SeedSequence(seed)``: one for demand interarrival gaps, one
+for lead (service) times.  Each stream is consumed in blocks, in order,
+so statistics are a pure function of the configuration, and the demand
+process does not depend on the lead distribution or the regime.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
-from typing import Optional
+from enum import Enum
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -43,7 +45,7 @@ class GammaParams:
     r: float
 
     def __post_init__(self):
-        if self.mu <= 0 or self.r <= 0:
+        if not (math.isfinite(self.mu) and math.isfinite(self.r)) or self.mu <= 0 or self.r <= 0:
             raise InvalidConfigError(f"gamma parameters must be positive: mu={self.mu}, r={self.r}")
 
     @property
@@ -68,8 +70,9 @@ class Costs:
     processing: float = 1.0  # per completed merge
 
     def __post_init__(self):
-        if min(self.holding, self.lost_penalty, self.processing) < 0:
-            raise InvalidConfigError("costs must be nonnegative")
+        values = (self.holding, self.lost_penalty, self.processing)
+        if not all(math.isfinite(v) and v >= 0 for v in values):
+            raise InvalidConfigError(f"costs must be finite and nonnegative, got {values}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,9 @@ class SimConfig:
     measure_position: bool = False  # avg_on_hand reports position instead of on-hand
 
     def __post_init__(self):
+        for name in ("base_stock", "demand_rate", "horizon", "warmup", "review_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_stock < 1 or self.base_stock != int(self.base_stock):
             raise InvalidConfigError(f"base_stock must be an integer >= 1, got {self.base_stock}")
         if self.demand_rate < 0:
@@ -163,12 +169,15 @@ def erlang_b(servers: int, offered_load: float) -> float:
     return b
 
 
-class _EventKind(IntEnum):
-    # heap tiebreak at equal times: reviews decide leads before anything
-    # else moves; deliveries land before a coincident demand is served
-    REVIEW = 0
-    DELIVERY = 1
-    DEMAND = 2
+# Draws per refill of a stream.  Numpy's block draws equal the same
+# number of scalar draws in sequence, so the block size changes no result.
+_BLOCK = 1024
+
+
+def _stream(draw) -> Iterator[float]:
+    """The values of successive ``draw()`` blocks, as Python floats."""
+    while True:
+        yield from draw().tolist()
 
 
 @dataclass
@@ -185,7 +194,9 @@ class Simulation:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.rng = np.random.default_rng(config.seed)
+        demand_seed, lead_seed = np.random.SeedSequence(config.seed).spawn(2)
+        self.demand_rng = np.random.default_rng(demand_seed)
+        self.lead_rng = np.random.default_rng(lead_seed)
         self.on_hand = config.base_stock
         self.on_order = 0
         self.orders: list[_Order] = []
@@ -193,125 +204,106 @@ class Simulation:
         self.noncrossing_violations = 0
         self.lost = 0
         self.served = 0
-        self._completions_in_window = 0
-        self._lost_in_window = 0
-        self._heap: list[tuple[float, int, int, Optional[int]]] = []
-        self._tie = itertools.count()
-        self._last_time = 0.0
-        self._area_on_hand = 0.0
-        self._area_position = 0.0
-        self._dormant: list[int] = []
-        self._last_delivery = 0.0
-        self._server_free_at = 0.0
-
-    def _push(self, time: float, kind: _EventKind, order_idx: Optional[int] = None) -> None:
-        heapq.heappush(self._heap, (time, int(kind), next(self._tie), order_idx))
-
-    def _accrue(self, now: float) -> None:
-        lo = max(self._last_time, self.config.warmup)
-        hi = min(now, self.config.horizon)
-        if hi > lo:
-            self._area_on_hand += self.on_hand * (hi - lo)
-            self._area_position += (self.on_hand + self.on_order) * (hi - lo)
-        self._last_time = now
-
-    def _schedule_delivery(self, order: _Order, drawn_at: float, drawn: float) -> None:
-        regime = self.config.regime
-        if regime is Regime.EXOGENOUS_IID:
-            effective = drawn_at + drawn
-        elif regime is Regime.EXOGENOUS:
-            effective, _ = adjust_exogenous(self._last_delivery, drawn_at, drawn)
-        else:
-            start = max(order.placed_at, self._server_free_at)
-            effective = start + drawn
-            self._server_free_at = effective
-        if regime is not Regime.EXOGENOUS_IID and effective < self._last_delivery:
-            self.noncrossing_violations += 1
-        self._last_delivery = max(self._last_delivery, effective)
-        order.drawn_at = drawn_at
-        order.drawn_lead = drawn
-        order.effective_delivery = effective
-        self._push(effective, _EventKind.DELIVERY, order.seq)
-
-    def _place_order(self, now: float) -> None:
-        order = _Order(seq=len(self.orders), placed_at=now)
-        self.orders.append(order)
-        self.on_order += 1
-        if self.config.regime is Regime.EXOGENOUS:
-            self._dormant.append(order.seq)
-        else:
-            drawn = float(sample_gamma(self.config.lead, self.rng))
-            self._schedule_delivery(order, now, drawn)
-
-    def _on_demand(self, now: float) -> None:
-        if self.on_hand > 0:
-            self.on_hand -= 1
-            self.served += 1
-            self._place_order(now)
-        else:
-            self.lost += 1
-            if now >= self.config.warmup:
-                self._lost_in_window += 1
-
-    def _on_review(self, now: float) -> None:
-        for seq in self._dormant:
-            drawn = float(sample_gamma(self.config.lead, self.rng))
-            self._schedule_delivery(self.orders[seq], now, drawn)
-        self._dormant.clear()
-
-    def _on_delivery(self, now: float, seq: int) -> None:
-        self.on_hand += 1
-        self.on_order -= 1
-        order = self.orders[seq]
-        self.completed.append(
-            UpdateOrder(order.seq, order.placed_at, order.drawn_lead, order.effective_delivery, order.drawn_at)
-        )
-        if now >= self.config.warmup:
-            self._completions_in_window += 1
 
     def run(self) -> SimStats:
+        """Merge the next demand, the next review (exo only) and a heap of
+        ``(effective_delivery, seq)`` in time order up to the horizon.  At
+        equal times a review decides leads first, then deliveries land in
+        scheduling (``seq``) order, then the demand is served."""
         cfg = self.config
-        if cfg.demand_rate > 0:
-            self._push(float(sample_poisson_interarrival(cfg.demand_rate, self.rng)), _EventKind.DEMAND)
-        if cfg.regime is Regime.EXOGENOUS:
-            self._push(cfg.review_period, _EventKind.REVIEW)
-        while self._heap:
-            now, kind, _, seq = heapq.heappop(self._heap)
-            if now > cfg.horizon:
+        horizon, warmup = cfg.horizon, cfg.warmup
+        exo = cfg.regime is Regime.EXOGENOUS
+        iid = cfg.regime is Regime.EXOGENOUS_IID
+        gaps = _stream(lambda: sample_poisson_interarrival(cfg.demand_rate, self.demand_rng, _BLOCK))
+        leads = _stream(lambda: sample_gamma(cfg.lead, self.lead_rng, _BLOCK))
+        orders, completed = self.orders, self.completed
+        on_hand, on_order, served, lost = self.on_hand, self.on_order, self.served, self.lost
+        violations, completions_in_window, lost_in_window = self.noncrossing_violations, 0, 0
+        area_on_hand = area_position = 0.0
+        heap: list[tuple[float, int]] = []
+        dormant: list[_Order] = []
+        last = last_delivery = server_free_at = 0.0
+        t_demand = next(gaps) if cfg.demand_rate > 0 else math.inf
+        t_review = cfg.review_period if exo else math.inf
+        while True:
+            t_delivery = heap[0][0] if heap else math.inf
+            now = t_review if t_review <= t_delivery else t_delivery
+            if t_demand < now:
+                now = t_demand
+            lo = last if last > warmup else warmup
+            hi = now if now < horizon else horizon
+            if hi > lo:
+                area_on_hand += on_hand * (hi - lo)
+                area_position += (on_hand + on_order) * (hi - lo)
+            if now > horizon:
                 break
-            self._accrue(now)
-            if kind == _EventKind.DEMAND:
-                self._on_demand(now)
-                self._push(
-                    now + float(sample_poisson_interarrival(cfg.demand_rate, self.rng)),
-                    _EventKind.DEMAND,
-                )
-            elif kind == _EventKind.REVIEW:
-                self._on_review(now)
-                self._push(now + cfg.review_period, _EventKind.REVIEW)
+            last = now
+            if now == t_review:
+                for order in dormant:
+                    drawn = next(leads)
+                    effective, _ = adjust_exogenous(last_delivery, now, drawn)
+                    if effective < last_delivery:
+                        violations += 1
+                    else:
+                        last_delivery = effective
+                    order.drawn_at, order.drawn_lead, order.effective_delivery = now, drawn, effective
+                    heapq.heappush(heap, (effective, order.seq))
+                dormant.clear()
+                t_review = now + cfg.review_period
+            elif now == t_delivery:
+                order = orders[heapq.heappop(heap)[1]]
+                on_hand += 1
+                on_order -= 1
+                completed.append(UpdateOrder(
+                    order.seq, order.placed_at, order.drawn_lead, order.effective_delivery, order.drawn_at
+                ))
+                if now >= warmup:
+                    completions_in_window += 1
             else:
-                self._on_delivery(now, seq)
-        self._accrue(cfg.horizon)
-        return self._stats()
+                if on_hand > 0:
+                    on_hand -= 1
+                    on_order += 1
+                    served += 1
+                    seq = len(orders)
+                    if exo:
+                        order = _Order(seq, now)
+                        dormant.append(order)
+                    else:
+                        drawn = next(leads)
+                        if iid:
+                            effective = now + drawn
+                        else:
+                            effective = (now if now >= server_free_at else server_free_at) + drawn
+                            server_free_at = effective
+                            if effective < last_delivery:
+                                violations += 1
+                            else:
+                                last_delivery = effective
+                        order = _Order(seq, now, now, drawn, effective)
+                        heapq.heappush(heap, (effective, seq))
+                    orders.append(order)
+                else:
+                    lost += 1
+                    if now >= warmup:
+                        lost_in_window += 1
+                t_demand = now + next(gaps)
+        self.on_hand, self.on_order, self.served, self.lost = on_hand, on_order, served, lost
+        self.noncrossing_violations = violations
+        return self._stats(area_on_hand, area_position, completions_in_window, lost_in_window)
 
-    def _window_demands(self) -> tuple[int, int]:
-        served = sum(
-            1 for o in self.orders if o.placed_at >= self.config.warmup
-        )
-        return served, self._lost_in_window
-
-    def _stats(self) -> SimStats:
+    def _stats(self, area_on_hand: float, area_position: float, completions: int, lost: int) -> SimStats:
+        """Post-warmup statistics from the run's areas and in-window counts."""
         cfg = self.config
         elapsed = cfg.horizon - cfg.warmup
-        served, lost = self._window_demands()
+        served = sum(1 for o in self.orders if o.placed_at >= cfg.warmup)
         total = served + lost
         fill_rate = served / total if total else 1.0
-        area = self._area_position if cfg.measure_position else self._area_on_hand
+        area = area_position if cfg.measure_position else area_on_hand
         avg_on_hand = area / elapsed
         cost = (
-            cfg.costs.holding * self._area_on_hand
+            cfg.costs.holding * area_on_hand
             + cfg.costs.lost_penalty * lost
-            + cfg.costs.processing * self._completions_in_window
+            + cfg.costs.processing * completions
         ) / elapsed
         leads = np.array(
             [o.effective_delivery - o.placed_at for o in self.completed if o.placed_at >= cfg.warmup]

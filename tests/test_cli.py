@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ontoflux
+from ontoflux import cli
 from ontoflux.cli import _parse_seed_range, main
 from ontoflux.errors import OntofluxError
 from ontoflux.io import RESULT_FIELDS
@@ -166,6 +167,21 @@ def test_simulate_bad_config_is_exit_1(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, "simulate", "--config", str(bad))
     assert code == 1
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize("command", [("simulate",), ("sweep", "--seeds", "0..0")])
+def test_non_finite_horizon_is_exit_1_without_simulating(
+    capsys, tmp_path, fixture_text, monkeypatch, command
+) -> None:
+    def refuse(config):
+        raise AssertionError(f"horizon = {config.horizon} reached the simulator")
+
+    monkeypatch.setattr(cli, "run_simulation", refuse)
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(fixture_text("exo_small.cfg").replace("horizon = 200.0", "horizon = nan"))
+    code, _, err = run_cli(capsys, command[0], "--config", str(bad), *command[1:])
+    assert code == 1
+    assert "key horizon: not a finite number" in err
 
 
 # --- sweep -----------------------------------------------------------------------

@@ -303,6 +303,19 @@ def test_config_errors(fixture_text, mangle, message) -> None:
         parse_sim_config(broken)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, "nan") for key in ("demand_rate", "lead_mu", "lead_r", "review_period", "horizon",
+                              "warmup", "base_stock", "seed", "holding")]
+    + [(key, "inf") for key in ("demand_rate", "lead_mu", "review_period", "horizon",
+                                "base_stock", "seed", "lost_penalty")],
+)
+def test_config_rejects_non_finite_numbers(fixture_text, key, value) -> None:
+    lines = [line for line in fixture_text("exo_small.cfg").splitlines() if not line.startswith(key)]
+    with pytest.raises(InvalidConfigError, match=f"key {key}: not a finite number"):
+        parse_sim_config("\n".join(lines + [f"{key} = {value}"]) + "\n")
+
+
 def test_config_measure_position_flag(fixture_text) -> None:
     text = fixture_text("exo_small.cfg") + "measure_position = true\n"
     assert parse_sim_config(text).measure_position is True

@@ -1,10 +1,15 @@
+import dataclasses
 import math
+import struct
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ontoflux import simulate
 from ontoflux.errors import InvalidConfigError, NegativeAdjustmentError, NonPositiveRateError
 from ontoflux.simulate import (
     Costs,
@@ -18,6 +23,8 @@ from ontoflux.simulate import (
     sample_gamma,
     sample_poisson_interarrival,
 )
+
+from helpers import ReferenceSimulation
 
 
 def config(**overrides) -> SimConfig:
@@ -180,3 +187,104 @@ def test_window_statistics_use_post_warmup_orders_only():
     mean = sum(o.effective_delivery - o.placed_at for o in window_orders) / len(window_orders)
     assert stats.service_time_mean == pytest.approx(mean)
     assert 0.0 <= stats.fill_rate <= 1.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("base_stock", math.nan),
+        ("base_stock", math.inf),
+        ("demand_rate", math.nan),
+        ("demand_rate", math.inf),
+        ("horizon", math.nan),
+        ("horizon", math.inf),
+        ("warmup", math.nan),
+        ("review_period", math.nan),
+        ("review_period", math.inf),
+    ],
+)
+def test_non_finite_config_values_are_rejected(field, value):
+    with pytest.raises(InvalidConfigError, match=f"{field} must be finite"):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: GammaParams(mu=v, r=1.0),
+        lambda v: GammaParams(mu=1.0, r=v),
+        lambda v: Costs(holding=v),
+        lambda v: Costs(lost_penalty=v),
+        lambda v: Costs(processing=v),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameters_are_rejected(make, value):
+    with pytest.raises(InvalidConfigError):
+        make(value)
+
+
+def test_demand_stream_does_not_depend_on_the_lead_stream():
+    def placements(regime: Regime, lead: GammaParams) -> list[float]:
+        sim = Simulation(config(regime=regime, base_stock=1000, lead=lead))
+        sim.run()
+        assert sim.lost == 0
+        return [o.placed_at for o in sim.orders]
+
+    exo = placements(Regime.EXOGENOUS, GammaParams(mu=2.0, r=1.0))
+    assert len(exo) > 200
+    for regime in Regime:
+        for lead in (GammaParams(mu=2.0, r=1.0), GammaParams(mu=0.1, r=5.0)):
+            assert placements(regime, lead) == exo
+
+
+def _bits(record) -> tuple:
+    """A dataclass's fields with each float as its IEEE-754 bytes (NaN equals NaN)."""
+    return tuple(
+        struct.pack("<d", v) if isinstance(v, float) else v for v in dataclasses.astuple(record)
+    )
+
+
+def _on_grid(sample, step: float):
+    """``sample`` with every draw rounded up to a multiple of ``step``."""
+    return lambda params, rng, size=None: np.ceil(sample(params, rng, size) / step) * step
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    horizon = draw(st.floats(5.0, 400.0))
+    return SimConfig(
+        regime=draw(st.sampled_from(Regime)),
+        base_stock=draw(st.integers(1, 6)),
+        demand_rate=draw(st.just(0.0) | st.floats(0.2, 6.0)),
+        lead=GammaParams(mu=draw(st.floats(0.3, 4.0)), r=draw(st.floats(0.3, 3.0))),
+        horizon=horizon,
+        warmup=draw(st.just(0.0) | st.floats(0.0, 0.9)) * horizon,
+        review_period=draw(st.sampled_from([1.0, 0.5, 2.0, 0.7])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        measure_position=draw(st.booleans()),
+    )
+
+
+LONG_RUN = config(base_stock=6, demand_rate=4.0, lead=GammaParams(mu=1.0, r=1.5), horizon=700.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sim_configs(), st.booleans())
+@example(LONG_RUN, False)
+@example(dataclasses.replace(LONG_RUN, regime=Regime.ENDOGENOUS), True)
+@example(dataclasses.replace(LONG_RUN, regime=Regime.EXOGENOUS_IID, base_stock=1), True)
+@example(dataclasses.replace(LONG_RUN, base_stock=1, warmup=0.0), True)
+def test_event_merge_equals_the_reference_heap_loop(cfg, on_grid):
+    # on the grid, leads are whole numbers and demand gaps multiples of
+    # 0.5, so reviews, deliveries and demands coincide and ties decide
+    with ExitStack() as stack:
+        if on_grid:
+            for name, step in (("sample_gamma", 1.0), ("sample_poisson_interarrival", 0.5)):
+                stack.enter_context(mock.patch.object(simulate, name, _on_grid(getattr(simulate, name), step)))
+        sim, ref = Simulation(cfg), ReferenceSimulation(cfg)
+        assert _bits(sim.run()) == _bits(ref.run())
+    assert [_bits(o) for o in sim.orders] == [_bits(o) for o in ref.orders]
+    assert [_bits(o) for o in sim.completed] == [_bits(o) for o in ref.completed]
+    for name in ("noncrossing_violations", "served", "lost", "on_hand", "on_order"):
+        assert getattr(sim, name) == getattr(ref, name), name
