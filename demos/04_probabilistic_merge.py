@@ -3,7 +3,8 @@
 Each mapping carries the probability that it is correct.  A merged fact
 remembers every minimal set of mappings able to derive it; locally
 asserted facts carry the empty set and therefore score exactly 1.
-Independent derivation routes combine by noisy-OR, and a query can be
+A fact's probability is the exact chance that one of those sets holds
+entirely, with overlapping sets scored exactly, and a query can be
 restricted to mapped support to see what the alignment alone buys.
 """
 

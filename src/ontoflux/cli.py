@@ -110,8 +110,6 @@ def _cmd_merge_query(args: argparse.Namespace) -> int:
     for answer in query(merged, conjuncts, mapped_only=args.mapped_only):
         parts = [f"{var}={value.local}" for var, value in answer.binding]
         parts.append(f"p={answer.probability:.9f}")
-        if answer.approximate:
-            parts.append("approx")
         lines.append(" ".join(parts))
     _write_output("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0

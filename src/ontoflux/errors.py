@@ -35,6 +35,10 @@ class UnsafeQueryError(OntofluxError):
     """A conjunctive query is unsafe (empty, or a variable occurs nowhere positive)."""
 
 
+class LineageTooLargeError(OntofluxError):
+    """Exact scoring of a lineage formula needed more expansions than its work budget."""
+
+
 class InvalidConfigError(OntofluxError):
     """A simulation configuration violates its invariants."""
 

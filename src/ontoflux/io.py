@@ -511,14 +511,16 @@ def parse_sim_config(text: str) -> SimConfig:
     if missing:
         raise InvalidConfigError("missing config keys: " + ", ".join(missing))
 
-    def number(key: str) -> float:
+    def number(key: str, integral: bool = False) -> float:
         try:
             value = float(values[key])
         except ValueError:
             raise InvalidConfigError(f"key {key}: not a number: {values[key]!r}") from None
         if not math.isfinite(value):
             raise InvalidConfigError(f"key {key}: not a finite number: {values[key]!r}")
-        return value
+        if integral and not value.is_integer():
+            raise InvalidConfigError(f"key {key}: not an integer: {values[key]!r}")
+        return int(value) if integral else value
 
     regimes = {r.value: r for r in Regime}
     if values["regime"] not in regimes:
@@ -528,21 +530,16 @@ def parse_sim_config(text: str) -> SimConfig:
     flag = values.get("measure_position", "false").lower()
     if flag not in ("true", "false"):
         raise InvalidConfigError(f"key measure_position: expected true or false, got {flag!r}")
-    defaults = Costs()
     return SimConfig(
         regime=regimes[values["regime"]],
-        base_stock=int(number("base_stock")),
+        base_stock=number("base_stock", integral=True),
         demand_rate=number("demand_rate"),
         lead=GammaParams(mu=number("lead_mu"), r=number("lead_r")),
         horizon=number("horizon"),
         warmup=number("warmup"),
         review_period=number("review_period"),
-        seed=int(number("seed")),
-        costs=Costs(
-            holding=number("holding") if "holding" in values else defaults.holding,
-            lost_penalty=number("lost_penalty") if "lost_penalty" in values else defaults.lost_penalty,
-            processing=number("processing") if "processing" in values else defaults.processing,
-        ),
+        seed=number("seed", integral=True),
+        costs=Costs(**{key: number(key) for key in ("holding", "lost_penalty", "processing") if key in values}),
         measure_position=flag == "true",
     )
 

@@ -14,22 +14,26 @@ Each derived atom carries its provenance as a set of derivation paths,
 every path being the set of mapping ids it relied on; that path set is
 the engine's annotation, so an atom re-enters the engine's delta
 whenever its set of minimal paths changes.  The empty path marks a
-purely local derivation and has probability one; a path's
-probability is the product over its mappings (independent mappings must
-all hold); alternative paths combine by noisy-OR.  Conjunctive queries
-multiply conjunct probabilities while provenance is disjoint and switch
-to exact possible-worlds enumeration when conjuncts share mappings,
-falling back to the product with an approximation marker once the
-number of distinct mappings involved makes enumeration unaffordable.
+purely local derivation and always holds; a mapped path holds when all
+its mappings do, and mappings hold independently.  One exact scorer
+gives a stored fact its probability (one path set) and a conjunctive
+query answer its (one path set per conjunct, all of which must hold):
+it splits the formula into parts that share no mapping, and expands
+what stays connected on its most frequent mapping, memoized on the
+residual formula (Shannon expansion; Dalvi & Suciu, VLDB 2004).  A
+formula that needs more than ``SCORING_BUDGET`` expansions raises
+``LineageTooLargeError``; no score is ever approximated.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    LineageTooLargeError,
     MalformedItemError,
     NamespaceClashError,
     ProbabilityOutOfRangeError,
@@ -39,10 +43,6 @@ from .kb import (
     Atom,
     EntityName,
     KnowledgeBase,
-    PropertyDomain,
-    PropertyRange,
-    SubClassOf,
-    UnionEquivalence,
     Variable,
     atom_predicate,
     atom_terms,
@@ -53,7 +53,7 @@ from .kb import (
     substitute,
 )
 
-EXACT_ENUMERATION_LIMIT = 16
+SCORING_BUDGET = 10_000  # expansions one lineage formula may take
 
 Path = frozenset  # of mapping ids
 PathSet = frozenset  # of Path
@@ -124,25 +124,8 @@ class MergedKB:
         return self.derived.get(atom)
 
 
-def complement(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ProbabilityOutOfRangeError(f"probability {p} outside [0, 1]")
-    return 1.0 - p
-
-
-def combine_noisy_or(ps: Sequence[float]) -> float:
-    """1 - prod(1 - p): the chance at least one independent derivation holds."""
-    if not ps:
-        raise MalformedItemError("noisy-OR needs at least one probability")
-    for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise ProbabilityOutOfRangeError(f"probability {p} outside [0, 1]")
-    if len(ps) == 1:
-        return float(ps[0])  # skip the double complement's rounding
-    return 1.0 - math.prod(1.0 - p for p in ps)
-
-
-LOCAL: PathSet = frozenset({frozenset()})  # the annotation of a local A-Box fact
+_NO_MAPPING: Path = frozenset()  # the path of a purely local derivation
+LOCAL: PathSet = frozenset({_NO_MAPPING})  # the annotation of a local A-Box fact
 
 
 def _canonical(paths: Iterable[Path]) -> PathSet:
@@ -151,17 +134,27 @@ def _canonical(paths: Iterable[Path]) -> PathSet:
     A path that is a superset of another mapped path holds only in a
     subset of its worlds and never changes any probability; the local
     path is kept alongside so that mapped-only scoring still sees the
-    mapped derivations it would otherwise absorb.
+    mapped derivations it would otherwise absorb.  Taken in length
+    order, a path can only be absorbed by a shorter path already kept:
+    a kept single mapping it contains or, if it has three mappings or
+    more, a kept path of two or more.
     """
-    mapped = {p for p in paths if p}
-    minimal = {p for p in mapped if not any(q < p for q in mapped)}
-    if frozenset() in set(paths) or any(not p for p in paths):
-        minimal.add(frozenset())
-    return frozenset(minimal)
+    singles: set[str] = set()
+    longer: list[Path] = []
+    kept: list[Path] = []
+    for path in sorted(paths, key=len):
+        if len(path) > 1:
+            if not path.isdisjoint(singles) or (len(path) > 2 and any(q < path for q in longer)):
+                continue
+            longer.append(path)
+        else:
+            singles |= path
+        kept.append(path)
+    return frozenset(kept)
 
 
 def _disjoin(a: PathSet, b: PathSet) -> PathSet:
-    return _canonical(a | b)
+    return a if b <= a else _canonical(a | b)  # b <= a, nothing new, is the common case
 
 
 def _conjoin(premises: list[PathSet]) -> PathSet:
@@ -172,44 +165,91 @@ def _conjoin(premises: list[PathSet]) -> PathSet:
     return _canonical(combos)
 
 
-def fact_probability(
-    paths: PathSet, prob_of: dict[str, float], mapped_only: bool = False
-) -> Optional[float]:
-    """Noisy-OR score of a path set; None when no usable path remains."""
-    if not mapped_only and frozenset() in paths:
-        return 1.0
-    usable = [p for p in paths if p]
-    if not usable:
-        return None
-    if len(usable) > 1:
-        usable = [p for p in usable if not any(q < p for q in usable)]
+def fact_probability(paths: PathSet, prob_of: dict[str, float]) -> float:
+    """Exact probability that one of ``paths`` holds; 0.0 for no path."""
+    return _score((paths,), prob_of)
+
+
+def _path_probability(path: Path, prob_of: dict[str, float]) -> float:
     # a set iterates in the order of the per-process string hashes, and a
     # product's rounding depends on the order of its factors: sort them
-    return combine_noisy_or(sorted(math.prod(sorted(prob_of[m] for m in p)) for p in usable))
+    return math.prod(sorted(prob_of[m] for m in path))
+
+
+def _any_holds(probabilities: Iterable[float]) -> float:
+    return 1.0 - math.prod(sorted(1.0 - p for p in probabilities))
+
+
+def _components(items: Iterable, ids_of) -> list[list]:
+    """``items`` grouped so that no two groups share a mapping id."""
+    groups: list[tuple[set, list]] = []
+    for item in items:
+        ids, members, apart = set(ids_of(item)), [item], []
+        for group in groups:
+            if ids.isdisjoint(group[0]):
+                apart.append(group)
+            else:
+                ids |= group[0]
+                members += group[1]
+        groups = [*apart, (ids, members)]
+    return [members for _, members in groups]
+
+
+def _score(clauses: Iterable[PathSet], prob_of: dict[str, float], memo: Optional[dict] = None) -> float:
+    """Exact probability that every path set in ``clauses`` has a path that holds.
+
+    A path holds when all its mappings do, mappings hold independently,
+    and the local path always holds.  Clauses that share no mapping id
+    are independent, and so are such paths of one clause: the former
+    multiply, the latter combine as 1 - prod(1 - p).  What stays
+    connected is expanded on its most frequent mapping (ties by id),
+    memoized on the residual clauses, for at most ``SCORING_BUDGET``
+    expansions per scored formula.
+    """
+    if memo is None:  # the outermost call
+        try:
+            return _score(clauses, prob_of, {})
+        except RecursionError:  # a lineage deeper than Python's stack allows
+            raise LineageTooLargeError("exact scoring nests too deep") from None
+    clauses = frozenset(paths for paths in clauses if _NO_MAPPING not in paths)
+    if len(clauses) == 1:
+        (paths,) = clauses
+        if len(paths) == 1:  # most facts: one path
+            return _path_probability(next(iter(paths)), prob_of)
+        if len(set().union(*paths)) == sum(map(len, paths)):  # pairwise disjoint paths, or none
+            return _any_holds(_path_probability(path, prob_of) for path in paths)
+        parts = _components(paths, frozenset)
+        if len(parts) > 1:
+            return _any_holds(_score((frozenset(part),), prob_of, memo) for part in parts)
+    else:
+        parts = _components(clauses, lambda paths: set().union(*paths))
+        if len(parts) != 1:  # independent clauses, or none
+            return math.prod(sorted(_score(part, prob_of, memo) for part in parts))
+    known = memo.get(clauses)
+    if known is not None:
+        return known
+    if len(memo) >= SCORING_BUDGET:
+        raise LineageTooLargeError(f"exact scoring takes over {SCORING_BUDGET} expansions")
+    counts = Counter(m for paths in clauses for path in paths for m in path)
+    pivot = min(counts, key=lambda m: (-counts[m], m))
+    held, failed = [], []  # the clauses given that ``pivot`` holds, or not
+    for paths in clauses:
+        with_pivot = [path for path in paths if pivot in path]
+        rest = paths.difference(with_pivot)
+        held.append(_canonical(rest.union(path - {pivot} for path in with_pivot)) if with_pivot else paths)
+        failed.append(rest)
+    p = prob_of[pivot]
+    memo[clauses] = result = p * _score(held, prob_of, memo) + (1.0 - p) * _score(failed, prob_of, memo)
+    return result
 
 
 def _local_namespaces(kb: KnowledgeBase) -> set[str]:
-    names: set[str] = set()
-    for ax in kb.tbox:
-        if isinstance(ax, SubClassOf):
-            names.update((ax.sub.namespace, ax.sup.namespace))
-        elif isinstance(ax, UnionEquivalence):
-            names.add(ax.whole.namespace)
-            names.update(p.namespace for p in ax.parts)
-        elif isinstance(ax, (PropertyDomain, PropertyRange)):
-            names.update((ax.prop.namespace, ax.concept.namespace))
-        else:
-            names.update(
-                getattr(ax, f).namespace
-                for f in ("a", "b", "concept", "prop", "filler")
-                if hasattr(ax, f)
-            )
-    for atom in kb.abox:
-        names.add(atom_predicate(atom).namespace)
-    for rule in kb.rbox:
-        for atom in (*rule.body, rule.head):
-            names.add(atom_predicate(atom).namespace)
-    return names
+    names = set()
+    for ax in kb.tbox:  # every field of a T-Box axiom is a name or a tuple of names
+        for value in vars(ax).values():
+            names.update(n.namespace for n in (value if isinstance(value, tuple) else (value,)))
+    atoms = [*kb.abox, *(atom for rule in kb.rbox for atom in (*rule.body, rule.head))]
+    return names | {atom_predicate(atom).namespace for atom in atoms}
 
 
 def _added_atoms(
@@ -239,7 +279,7 @@ def merge(
 
     Mappings consume the external A-Box as asserted; chaining afterwards
     uses only the local T-Box and R-Box.  Multiple derivations of one
-    atom keep all (minimal) paths and combine by noisy-OR.
+    atom keep all (minimal) paths, and its probability is theirs, exactly.
 
     ``parent`` is an earlier merge to continue.  If it merged the same
     external KB, mappings, T-Box and R-Box, and a subset of the local
@@ -289,25 +329,14 @@ def merge(
 
 @dataclass(frozen=True)
 class QueryAnswer:
+    """One binding of a query and its exact probability; ``approximate`` is always False."""
+
     binding: tuple[tuple[str, EntityName], ...]
     probability: float
     approximate: bool = False
 
     def as_dict(self) -> dict[str, EntityName]:
         return dict(self.binding)
-
-
-def _score_exact(conjunct_paths: list[list[Path]], prob_of: dict[str, float]) -> float:
-    ids = sorted({m for ps in conjunct_paths for p in ps for m in p})
-    total = 0.0
-    for bits in range(1 << len(ids)):
-        held = frozenset(ids[i] for i in range(len(ids)) if bits >> i & 1)
-        weight = 1.0
-        for i, mid in enumerate(ids):
-            weight *= prob_of[mid] if bits >> i & 1 else 1.0 - prob_of[mid]
-        if all(any(p <= held for p in ps) for ps in conjunct_paths):
-            total += weight
-    return total
 
 
 def query(
@@ -322,45 +351,15 @@ def query(
     if not conjuncts:
         raise UnsafeQueryError("query needs at least one conjunct")
     prob_of = {m.mapping_id: m.probability for m in merged.mappings}
+    base = {atom: paths for atom, fact in merged.derived.items()
+            if (paths := fact.paths - LOCAL if mapped_only else fact.paths)}
 
-    base: dict[Atom, list[Path]] = {}
-    for atom, fact in merged.derived.items():
-        usable = [p for p in fact.paths if p] if mapped_only else list(fact.paths)
-        if not usable:
-            continue
-        if any(not p for p in usable):
-            usable = [frozenset()]
-        else:
-            usable = [p for p in usable if not any(q < p for q in usable)]
-        base[atom] = usable
-
-    answers = []
+    answers: dict[tuple, QueryAnswer] = {}
     for binding in match_body(tuple(conjuncts), index_facts(base)):
-        conjunct_paths = [base[substitute(c, binding)] for c in conjuncts]
-        flat = [p for ps in conjunct_paths for p in ps]
-        disjoint = all(
-            sum(1 for p in flat if m in p) <= 1 for p in flat for m in p
-        )
-        approximate = False
-        if disjoint:
-            probability = math.prod(
-                fact_probability(frozenset(ps), prob_of) for ps in conjunct_paths
-            )
-        else:
-            distinct = {m for p in flat for m in p}
-            if len(distinct) <= EXACT_ENUMERATION_LIMIT:
-                probability = _score_exact(conjunct_paths, prob_of)
-            else:
-                probability = math.prod(
-                    fact_probability(frozenset(ps), prob_of) for ps in conjunct_paths
-                )
-                approximate = True
         key = tuple(sorted((var.token, value.name) for var, value in binding.items()))
-        answers.append(QueryAnswer(key, probability, approximate))
-
-    unique: dict[tuple, QueryAnswer] = {}
-    for ans in answers:
-        unique.setdefault(ans.binding, ans)
+        if key not in answers:
+            clauses = [base[substitute(c, binding)] for c in conjuncts]
+            answers[key] = QueryAnswer(key, _score(clauses, prob_of))
     return sorted(
-        unique.values(), key=lambda a: (-a.probability, tuple(str(v) for _, v in a.binding))
+        answers.values(), key=lambda a: (-a.probability, tuple(str(v) for _, v in a.binding))
     )

@@ -9,7 +9,8 @@ the engine can be tested against it.
 The oracle marginalizes a conjunctive query over every subset of the
 mappings by brute force, on top of the reference chainer.  It shares
 none of the library's derivation-path bookkeeping, so agreement is
-meaningful evidence that the noisy-OR / minimal-path scoring is right.
+meaningful evidence that the minimal-path lineage and its exact scoring
+are right, for stored facts as well as for query answers.
 
 ``ReferenceSimulation`` is the simulator as a heap of event tuples with
 one handler per event kind, drawing one scalar at a time from the same
@@ -200,6 +201,16 @@ def world_support(
     return frozenset(derivable), frozenset(supported)
 
 
+def _worlds(mappings: Sequence[Mapping]):
+    """Each subset of ``mappings`` that holds with nonzero probability, and that probability."""
+    for bits in range(1 << len(mappings)):
+        weight = 1.0
+        for i, m in enumerate(mappings):
+            weight *= m.probability if bits >> i & 1 else 1.0 - m.probability
+        if weight != 0.0:
+            yield [m for i, m in enumerate(mappings) if bits >> i & 1], weight
+
+
 def world_scores(
     local: KnowledgeBase,
     external: KnowledgeBase,
@@ -209,13 +220,7 @@ def world_scores(
 ) -> dict[tuple[tuple[str, EntityName], ...], float]:
     """Exact per-binding probabilities by enumerating all mapping subsets."""
     scores: dict[tuple[tuple[str, EntityName], ...], float] = {}
-    for bits in range(1 << len(mappings)):
-        held = [m for i, m in enumerate(mappings) if bits >> i & 1]
-        weight = 1.0
-        for i, m in enumerate(mappings):
-            weight *= m.probability if bits >> i & 1 else 1.0 - m.probability
-        if weight == 0.0:
-            continue
+    for held, weight in _worlds(mappings):
         derivable, supported = world_support(local, external, held)
         facts = supported if mapped_only else derivable
         for binding in match_rule_body(tuple(conjuncts), sorted(facts, key=str)):
@@ -223,6 +228,22 @@ def world_scores(
             if all(a in facts for a in bound):
                 key = tuple(sorted((v.token, value.name) for v, value in binding.items()))
                 scores[key] = scores.get(key, 0.0) + weight
+    return scores
+
+
+def world_atom_probabilities(
+    local: KnowledgeBase, external: KnowledgeBase, mappings: Sequence[Mapping]
+) -> dict[Atom, float]:
+    """Exact probability of every ground atom derivable in some world.
+
+    For each atom it is ``world_scores(local, external, mappings,
+    [atom])[()]``, summed in the same world order, from one enumeration
+    of the mapping subsets instead of one per atom.
+    """
+    scores: dict[Atom, float] = {}
+    for held, weight in _worlds(mappings):
+        for atom in world_support(local, external, held)[0]:
+            scores[atom] = scores.get(atom, 0.0) + weight
     return scores
 
 

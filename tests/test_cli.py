@@ -169,6 +169,15 @@ def test_simulate_bad_config_is_exit_1(capsys, tmp_path) -> None:
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("old, new", [("base_stock = 4", "base_stock = 2.7"), ("seed = 7", "seed = 7.9")])
+def test_simulate_non_integral_integer_key_is_exit_1(capsys, tmp_path, fixture_text, old, new) -> None:
+    bad = tmp_path / "fraction.cfg"
+    bad.write_text(fixture_text("exo_small.cfg").replace(old, new))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(bad))
+    assert code == 1 and out == ""
+    assert f"key {new.split()[0]}: not an integer" in err
+
+
 @pytest.mark.parametrize("command", [("simulate",), ("sweep", "--seeds", "0..0")])
 def test_non_finite_horizon_is_exit_1_without_simulating(
     capsys, tmp_path, fixture_text, monkeypatch, command

@@ -316,6 +316,20 @@ def test_config_rejects_non_finite_numbers(fixture_text, key, value) -> None:
         parse_sim_config("\n".join(lines + [f"{key} = {value}"]) + "\n")
 
 
+@pytest.mark.parametrize("key, value", [("base_stock", "2.7"), ("seed", "7.9"), ("seed", "1e-3")])
+def test_config_rejects_non_integral_integer_keys(fixture_text, key, value) -> None:
+    lines = [line for line in fixture_text("exo_small.cfg").splitlines() if not line.startswith(key)]
+    with pytest.raises(InvalidConfigError, match=f"key {key}: not an integer"):
+        parse_sim_config("\n".join(lines + [f"{key} = {value}"]) + "\n")
+
+
+def test_config_accepts_integral_values_written_as_decimals(fixture_text) -> None:
+    text = fixture_text("exo_small.cfg").replace("base_stock = 4", "base_stock = 4.0")
+    config = parse_sim_config(text.replace("seed = 7", "seed = 7e0"))
+    assert (config.base_stock, config.seed) == (4, 7)
+    assert type(config.base_stock) is int and type(config.seed) is int
+
+
 def test_config_measure_position_flag(fixture_text) -> None:
     text = fixture_text("exo_small.cfg") + "measure_position = true\n"
     assert parse_sim_config(text).measure_position is True

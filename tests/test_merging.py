@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import subprocess
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontoflux
-from helpers import random_kb, world_scores, world_support
+from helpers import random_kb, world_atom_probabilities, world_scores, world_support
 from ontoflux.errors import (
+    LineageTooLargeError,
     MalformedItemError,
     NamespaceClashError,
     ProbabilityOutOfRangeError,
@@ -33,8 +35,6 @@ from ontoflux.kb import (
 from ontoflux.merging import (
     Mapping,
     atom_predicate,
-    combine_noisy_or,
-    complement,
     fact_probability,
     merge,
     query,
@@ -61,25 +61,6 @@ def class_mapping(mid: str, target: str, source: str, p: float, **kw) -> Mapping
 
 def kb_of(*items) -> KnowledgeBase:
     return assert_all(KnowledgeBase.empty(), items)
-
-
-def test_complement_and_noisy_or():
-    assert complement(0.8) == 1.0 - 0.8
-    assert abs(complement(0.8) - 0.2) < 1e-15
-    assert combine_noisy_or([0.5, 0.5]) == 0.75
-    assert combine_noisy_or([0.3]) == 0.3
-    assert combine_noisy_or([1.0, 0.3]) == 1.0
-    with pytest.raises(MalformedItemError):
-        combine_noisy_or([])
-    with pytest.raises(ProbabilityOutOfRangeError):
-        combine_noisy_or([0.5, 1.5])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(0.0, 1.0, allow_nan=False))
-def test_complement_is_an_involution(p):
-    assert abs(complement(complement(p)) - p) <= 1e-15
-    assert 0.0 <= complement(p) <= 1.0
 
 
 def test_mapping_validation():
@@ -115,11 +96,10 @@ def test_fact_probability_views():
     prob_of = {"m1": 0.3, "m2": 0.5}
     both = frozenset({frozenset(), frozenset({"m1"})})
     assert fact_probability(both, prob_of) == 1.0
-    assert fact_probability(both, prob_of, mapped_only=True) == 0.3
     mapped = frozenset({frozenset({"m1"}), frozenset({"m2"})})
-    assert fact_probability(mapped, prob_of) == combine_noisy_or([0.3, 0.5])
-    assert fact_probability(frozenset(), prob_of) is None
-    assert fact_probability(frozenset({frozenset()}), prob_of, mapped_only=True) is None
+    assert fact_probability(mapped, prob_of) == 1.0 - 0.5 * 0.7
+    assert fact_probability(frozenset({frozenset({"m1", "m2"})}), prob_of) == 0.15
+    assert fact_probability(frozenset(), prob_of) == 0.0
 
 
 def test_dominated_paths_are_dropped():
@@ -162,6 +142,82 @@ def test_two_independent_routes_combine_by_noisy_or():
     assert fact.probability == 0.75
 
 
+def test_overlapping_paths_score_exactly():
+    # D(t) by A∧B or by A∧C: paths {m1, m2} and {m1, m3} share m1, so the
+    # score is P(m1)·P(m2 ∨ m3) = 0.375, not the independent-paths 0.4375
+    body = lambda other: (ClassAtom(local_name("A"), X), ClassAtom(local_name(other), X))
+    local = kb_of(
+        HornRule("r1", body("B"), ClassAtom(local_name("D"), X)),
+        HornRule("r2", body("C"), ClassAtom(local_name("D"), X)),
+    )
+    external = kb_of(*[ABoxAssertion(ClassAtom(ext_name(f"E{k}"), ind("t"))) for k in range(3)])
+    mappings = [class_mapping(f"m{k + 1}", name, f"E{k}", 0.5) for k, name in enumerate("ABC")]
+    fact = merge(local, external, mappings).fact(ClassAtom(local_name("D"), ind("t")))
+    assert fact.paths == frozenset({frozenset({"m1", "m2"}), frozenset({"m1", "m3"})})
+    assert fact.probability == 0.375
+    assert fact.probability == world_scores(local, external, mappings, [fact.atom])[()]
+
+
+def test_lineage_over_many_mappings_matches_its_closed_form():
+    # Q(t) needs one of 20 A-mappings and one of 8 rel-mappings: 160
+    # overlapping two-mapping paths whose exact score is a product of supports
+    local = kb_of(
+        SubClassOf(local_name("A"), local_name("B")),
+        HornRule(
+            "r1",
+            (ClassAtom(local_name("A"), X), PropertyAtom(local_name("rel"), X, Y)),
+            ClassAtom(local_name("Q"), X),
+        ),
+    )
+    external = kb_of(
+        *[ABoxAssertion(ClassAtom(ext_name(f"D{k}"), ind("t"))) for k in range(20)],
+        *[ABoxAssertion(PropertyAtom(ext_name(f"E{k}"), ind("t"), ind(f"u{k}"))) for k in range(8)],
+    )
+    p_a = [0.05 + 0.04 * k for k in range(20)]
+    p_rel = [0.1 + 0.1 * k for k in range(8)]
+    mappings = [class_mapping(f"a{k}", "A", f"D{k}", p) for k, p in enumerate(p_a)]
+    mappings += [
+        Mapping(f"r{k}", PropertyAtom(local_name("rel"), X, Y), PropertyAtom(ext_name(f"E{k}"), X, Y), p)
+        for k, p in enumerate(p_rel)
+    ]
+    merged = merge(local, external, mappings)
+    support_a = 1.0 - math.prod(1.0 - p for p in p_a)
+    support_rel = 1.0 - math.prod(1.0 - p for p in p_rel)
+    fact = merged.fact(ClassAtom(local_name("Q"), ind("t")))
+    assert len(fact.paths) == 160
+    assert math.isclose(fact.probability, support_a * support_rel, rel_tol=0.0, abs_tol=1e-12)
+    assert math.isclose(merged.fact(ClassAtom(local_name("B"), ind("t"))).probability, support_a, abs_tol=1e-12)
+    # Q(t) implies B(t), so the conjunction scores as Q(t) alone
+    answers = query(merged, [ClassAtom(local_name("Q"), X), ClassAtom(local_name("B"), X)])
+    assert [a.binding for a in answers] == [(("x", EntityName("i", "t")),)]
+    assert math.isclose(answers[0].probability, support_a * support_rel, rel_tol=0.0, abs_tol=1e-12)
+
+
+def test_lineage_beyond_the_work_budget_raises_a_typed_error():
+    # 80 conjuncts, each supported by three of 40 mappings: a random
+    # monotone CNF, which no split into independent parts simplifies
+    rng = random.Random(1)
+    items = [SubClassOf(local_name(f"M{k}"), local_name(f"A{i}")) for i in range(80) for k in rng.sample(range(40), 3)]
+    external = kb_of(ABoxAssertion(ClassAtom(ext_name("D"), ind("t"))))
+    mappings = [class_mapping(f"m{k:02d}", f"M{k}", "D", 0.5) for k in range(40)]
+    merged = merge(kb_of(*items), external, mappings)
+    with pytest.raises(LineageTooLargeError):
+        query(merged, [ClassAtom(local_name(f"A{i}"), X) for i in range(80)])
+
+
+def test_lineage_nested_past_the_interpreter_stack_raises_a_typed_error():
+    # a chain {m000, m001}, {m001, m002}, ... is expanded one link per level
+    # of recursion; a lower recursion limit stands in for a longer chain
+    chain = frozenset(frozenset({f"m{i:03d}", f"m{i + 1:03d}"}) for i in range(300))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(LineageTooLargeError):
+            fact_probability(chain, dict.fromkeys(set().union(*chain), 0.5))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_shared_mapping_across_conjuncts_scores_exactly():
     # A(t) and C(t) both hinge on m1 alone, so the joint is p, not p*p.
     local = kb_of(SubClassOf(local_name("A"), local_name("C")))
@@ -174,29 +230,18 @@ def test_shared_mapping_across_conjuncts_scores_exactly():
     assert not answers[0].approximate
 
 
-def test_wide_shared_queries_fall_back_to_marked_product():
+def test_wide_shared_queries_score_exactly():
     subclass = SubClassOf(local_name("A"), local_name("C"))
-    individuals = ABoxAssertion(ClassAtom(ext_name("B0"), ind("t")))
     conjuncts = [ClassAtom(local_name("A"), X), ClassAtom(local_name("C"), X)]
-
-    def run(count: int):
+    for count in (16, 17, 30):
         external = kb_of(
             *[ABoxAssertion(ClassAtom(ext_name(f"B{k}"), ind("t"))) for k in range(count)]
         )
         mappings = [class_mapping(f"m{k}", "A", f"B{k}", 0.5) for k in range(count)]
-        merged = merge(kb_of(subclass), external, mappings)
-        answers = query(merged, conjuncts)
-        assert len(answers) == 1
-        return answers[0]
-
-    exact = run(16)
-    assert not exact.approximate
-    assert abs(exact.probability - combine_noisy_or([0.5] * 16)) <= 1e-12
-    wide = run(17)
-    assert wide.approximate
-    support = combine_noisy_or([0.5] * 17)
-    assert abs(wide.probability - support * support) <= 1e-12
-    del individuals
+        answers = query(merge(kb_of(subclass), external, mappings), conjuncts)
+        assert len(answers) == 1 and not answers[0].approximate
+        # both conjuncts hinge on the same mappings: the joint is either's support
+        assert abs(answers[0].probability - (1.0 - 0.5**count)) <= 1e-12
 
 
 def test_query_needs_a_conjunct_and_sorts_answers():
@@ -339,23 +384,74 @@ def test_merged_atoms_are_the_reference_saturation_of_the_all_mappings_world(see
     assert set(merge(local, external, mappings).derived) == derivable
 
 
+def assert_stored_probabilities_exact(merged, local, external, mappings) -> None:
+    want = world_atom_probabilities(local, external, mappings)  # no atom of a 0-probability world
+    assert set(want) <= set(merged.derived)
+    for atom, fact in merged.derived.items():
+        assert math.isclose(fact.probability, want.get(atom, 0.0), rel_tol=0.0, abs_tol=1e-12), (
+            atom, fact.paths, fact.probability, want.get(atom)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_stored_probabilities_match_possible_worlds(seed, from_random_kb):
+    rng = random.Random(seed)
+    if from_random_kb:
+        local, external, mappings = random_kb_scenario(rng)
+    else:
+        local, external, mappings, _ = random_scenario(rng)
+    half = split_local(local, rng)
+    parent = merge(half, external, mappings)
+    assert_stored_probabilities_exact(parent, half, external, mappings)
+    continued = merge(local, external, mappings, parent=parent)
+    assert_stored_probabilities_exact(continued, local, external, mappings)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_atom_probabilities_are_single_atom_world_scores(seed):
+    local, external, mappings, _ = random_scenario(random.Random(seed))
+    for atom, p in world_atom_probabilities(local, external, mappings).items():
+        assert world_scores(local, external, mappings, [atom]) == {(): p}
+
+
+HASH_SEED_SCRIPT = r"""
+from ontoflux.io import parse_mappings, parse_ontology, parse_query
+from ontoflux.merging import fact_probability as f, merge, query
+F = frozenset
+# three factors whose product rounds differently in different orders
+print(repr(f(F({F({"m1"}), F({"m2"}), F({"m3"})}), {"m1": .67, "m2": .71, "m3": .73})))
+print(repr(f(F({F({"m1", "m2", "m3"})}), {"m1": .1, "m2": .3, "m3": .7})))
+# overlapping paths with tied mapping counts, next to an independent part
+print(repr(f(F({F({"a", "b"}), F({"b", "c"}), F({"c", "d"}), F({"d", "a"}), F({"e", "g"}), F({"g", "h"})}),
+             dict(a=.67, b=.71, c=.73, d=.79, e=.83, g=.89, h=.97))))
+local = parse_ontology("namespace L\nclass L:A\nclass L:B\nclass L:C\nclass L:Q\nproperty L:rel\n"
+                       "subclass L:A L:B\nrule r1: L:A(x), L:rel(x, y) -> L:Q(x)\n")
+external = parse_ontology("namespace X\nclass X:F\nassert X:F(s)\n"
+                          + "".join(f"class X:D{k}\nassert X:D{k}(t)\nassert X:D{k}(s)\n" for k in range(6))
+                          + "".join(f"property X:E{k}\nassert X:E{k}(t, u)\n" for k in range(3)))
+mappings = parse_mappings("map c0: L:C(x) <- X:F(x) ; P(0.59)\n"
+                          + "".join(f"map a{k}: L:A(x) <- X:D{k}(x) ; P(0.{61 + 7 * k})\n" for k in range(6))
+                          + "".join(f"map r{k}: L:rel(x, y) <- X:E{k}(x, y) ; P(0.{53 + 11 * k})\n" for k in range(3)))
+merged = merge(local, external, mappings)
+print([(str(a), repr(fact.probability)) for a, fact in merged.derived.items()])
+for text in ("L:Q(x) & L:B(x)", "L:B(x) & L:C(x)", "L:A(x) & L:B(x)"):
+    print([(a.binding, repr(a.probability)) for a in query(merged, parse_query(text))])
+"""
+
+
 def test_fact_probability_does_not_depend_on_the_hash_seed():
-    # three factors whose product rounds differently in different orders
-    script = (
-        "from ontoflux.merging import fact_probability as f; F = frozenset; "
-        "print(repr(f(F({F({'m1'}), F({'m2'}), F({'m3'})}), {'m1': .67, 'm2': .71, 'm3': .73})), "
-        "repr(f(F({F({'m1', 'm2', 'm3'})}), {'m1': .1, 'm2': .3, 'm3': .7})))"
-    )
     package_root = str(Path(ontoflux.__file__).resolve().parent.parent)
     outputs = {
         subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
             capture_output=True,
             text=True,
             check=True,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONHASHSEED": seed},
         ).stdout
-        for seed in ("1", "2")
+        for seed in ("1", "2", "3", "4")
     }
     assert len(outputs) == 1, outputs
 

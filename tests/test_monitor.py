@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import reference_saturate
+from helpers import reference_saturate, world_atom_probabilities
 
 from ontoflux import monitor
 from ontoflux.errors import ProbabilityOutOfRangeError, StaleEventError
@@ -11,9 +11,11 @@ from ontoflux.kb import (
     ABoxAssertion,
     ClassAtom,
     EntityName,
+    HornRule,
     Individual,
     KnowledgeBase,
     Truth,
+    Variable,
     assert_all,
     entailed_members,
     is_member,
@@ -307,3 +309,28 @@ def test_incremental_ticks_equal_fresh_merges_on_a_generated_episode(seed):
         kb, (EVENT, EntityName("O", "C3")), events, external, mappings, propositions, 32
     )
     assert len(state.kb.abox) > len(kb.abox) and any(p.terminal for p in state.propositions)
+
+
+@pytest.mark.parametrize("seed", [3])
+def test_each_tick_stores_the_possible_worlds_probabilities(seed):
+    kb, events, external, mappings, propositions = generated_episode(random.Random(seed), 16)
+    # O:Hot(x) needs m4 and one of m1, m2: overlapping paths {m1, m4}, {m2, m4}
+    x = Variable("x")
+    hot = HornRule("r2", (ClassAtom(EntityName("O", "C1"), x), ClassAtom(EntityName("O", "Tag"), x)),
+                   ClassAtom(EntityName("O", "Hot"), x))
+    kb = assert_all(kb, [hot])
+    mappings = (*mappings, *parse_mappings("map m4: O:Tag(x) <- X:Obs(x) ; P(0.65)\n"))
+    policy = MergePolicy(0.25)
+    accepted = policy.accept(mappings)
+    state = monitor.init(kb, (EVENT,), propositions)
+    for e in events:
+        state = enqueue_event(state, e) if isinstance(e, ABoxAssertion) else record_action(state, e)
+    overlapping = 0
+    for _ in range(17):
+        state = tick(state, policy, mappings, external)
+        want = world_atom_probabilities(state.merged.local, external, accepted)
+        assert set(state.merged.derived) == set(want)
+        for atom, fact in state.merged.derived.items():
+            assert abs(fact.probability - want[atom]) <= 1e-12, (atom, fact.paths)
+            overlapping += len(fact.mapping_ids()) < sum(map(len, fact.paths))
+    assert overlapping > 0
