@@ -14,18 +14,29 @@ the atoms that are new or changed in the previous one) and joins rule
 bodies through a per-predicate fact index.  Each atom carries an
 annotation that the caller defines: ``saturate`` uses plain membership,
 ``merging`` the atom's minimal derivation paths.  The engine can also
-continue an earlier result: given an already-closed atom set and new
-seeds, only the seeds that add to it start the rounds.  Computing from
-scratch is continuing from nothing.
+continue an earlier result in place: given an already-closed atom set,
+its index and new seeds, only the seeds that add to it start the
+rounds.  Computing from scratch is continuing from nothing.
 
-The saturation is memoized on the knowledge base itself, so repeated
-closure and membership queries against one KB cost one fixpoint.  A KB
-made by ``close_class``, or by re-asserting a known atom, shares its
-parent's memo, since its T-Box, R-Box and A-Box atoms are the same.  A
-KB made by asserting a new A-Box atom extends its parent's memo: it
-keeps the last saturation computed along its line of parents, and
-saturating it continues from there, so a growing A-Box costs only the
-new consequences.  A T-Box or R-Box assertion starts a fresh memo.
+The saturation is memoized on the knowledge base itself.  The memo
+holds the fixpoint's state, not just its atoms: the derived atoms, their
+per-predicate index and the members of each concept, all three extended
+from each round's delta.  ``saturate`` hands out a read-only set view of
+it; ``entailed_members``, ``is_member``, ``close_class`` and the
+constraint checks read the member sets and the index, so none of them
+rescans the saturation, and a closure record is a view of a member
+set, not a copy.  A KB made by ``close_class``, or by
+re-asserting a known atom, shares its parent's memo, since its T-Box,
+R-Box and A-Box atoms are the same.  A KB made by asserting new A-Box
+atoms keeps the memo it grew from and those atoms; saturating it seeds
+the fixpoint with the new atoms only and takes the older memo's state
+over, extending it in place.  The older KB still answers for its own
+atoms, a prefix of the state it gave away, and copies that prefix out
+if it is asked again.  A T-Box or R-Box assertion starts a fresh memo.
+
+Names, terms and atoms hash once, at construction, since every dict
+and set the engine keeps hashes them.  Pickling and copying rebuild
+them from their fields, so a cached hash never crosses a process.
 
 Queries are three-valued.  Membership that can be derived is True;
 membership in a class whose extension has been explicitly closed is
@@ -35,17 +46,20 @@ switched off for the classes a monitor needs to reason about
 negatively.
 
 All values here are immutable; every operation returns a new
-``KnowledgeBase`` and never mutates its input.  The memo is the one
-piece of state a KB fills in later; it takes no part in equality or
-``repr``.
+``KnowledgeBase`` and never mutates its input, and KBs share the A-Box
+and closure dicts they have in common.  The memo is the one piece of
+state a KB fills in later; it takes no part in equality or ``repr``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import MalformedItemError
@@ -55,34 +69,69 @@ _LOCAL_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 Annotation = TypeVar("Annotation")  # what the fixpoint attaches to each atom
 
 
-@dataclass(frozen=True, order=True)
-class EntityName:
+class _HashedOnce:
+    """A name, term or atom: it hashes its value once, at construction.
+
+    Every dict and set of atoms hashes them, so each class keeps its hash
+    in a ``_hash`` slot, which takes no part in equality, order or
+    ``repr``.  String hashes differ between processes, so pickling and
+    copying rebuild the value from its fields instead of carrying the
+    slot over.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+@dataclass(frozen=True, order=True, slots=True)
+class EntityName(_HashedOnce):
     """A namespaced name, e.g. ``O1:Event``."""
 
     namespace: str
     local: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.namespace:
             raise MalformedItemError("entity namespace must be nonempty")
         if not _LOCAL_TOKEN.match(self.local):
             raise MalformedItemError(f"bad local token: {self.local!r}")
+        object.__setattr__(self, "_hash", hash((self.namespace, self.local)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.namespace}:{self.local}"
 
 
-@dataclass(frozen=True, order=True)
-class Individual:
+@dataclass(frozen=True, order=True, slots=True)
+class Individual(_HashedOnce):
     name: EntityName
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", self.name._hash)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return str(self.name)
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+@dataclass(frozen=True, order=True, slots=True)
+class Variable(_HashedOnce):
     token: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.token))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.token
@@ -91,20 +140,34 @@ class Variable:
 Term = Union[Individual, Variable]
 
 
-@dataclass(frozen=True, order=True)
-class ClassAtom:
+@dataclass(frozen=True, order=True, slots=True)
+class ClassAtom(_HashedOnce):
     concept: EntityName
     subject: Term
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.concept._hash, self.subject._hash)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.concept}({self.subject})"
 
 
-@dataclass(frozen=True, order=True)
-class PropertyAtom:
+@dataclass(frozen=True, order=True, slots=True)
+class PropertyAtom(_HashedOnce):
     prop: EntityName
     subject: Term
     object: Term
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.prop._hash, self.subject._hash, self.object._hash)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.prop}({self.subject}, {self.object})"
@@ -220,7 +283,7 @@ class HornRule:
 @dataclass(frozen=True)
 class ClosureRecord:
     concept: EntityName
-    members: frozenset[EntityName]
+    members: AbstractSet[EntityName]  # a frozenset, or the ``Members`` that ``close_class`` records
     closed_at: float
 
 
@@ -240,38 +303,21 @@ class Violation:
     axiom: TBoxAxiom
 
 
-class _Memo:
-    """The saturation of every KB sharing this memo: they have one T-, A- and R-Box.
-
-    Until it is computed, ``base`` may hold the saturation of a KB with
-    the same T- and R-Box and a subset of the A-Box; saturating
-    continues from it and then drops it.
-    """
-
-    __slots__ = ("atoms", "base")
-
-    def __init__(self, base: frozenset[Atom] | None = None):
-        self.atoms: frozenset[Atom] | None = None
-        self.base = base
-
-    def extended(self) -> "_Memo":
-        """The memo of a KB with more A-Box atoms."""
-        return _Memo(self.base if self.atoms is None else self.atoms)
-
-
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Immutable T-Box / A-Box / R-Box snapshot with closure records.
 
     The A-Box maps each ground atom to the earliest time at which it was
     asserted; re-asserting an atom never moves its timestamp forward.
+    KBs may share their A-Box and closure dicts, which are never
+    mutated once a KB holds them.
     """
 
     tbox: frozenset[TBoxAxiom] = frozenset()
     abox: dict[Atom, float] = field(default_factory=dict)
     rbox: frozenset[HornRule] = frozenset()
     closures: dict[EntityName, ClosureRecord] = field(default_factory=dict)
-    _memo: _Memo = field(default_factory=_Memo, compare=False, repr=False)
+    _memo: "_Memo" = field(default_factory=lambda: _Memo(), compare=False, repr=False)
 
     @staticmethod
     def empty() -> "KnowledgeBase":
@@ -287,29 +333,45 @@ KBItem = Union[TBoxAxiom, ABoxAssertion, HornRule]
 
 def assert_item(kb: KnowledgeBase, item: KBItem) -> KnowledgeBase:
     """Return a new KB containing ``item``.  Idempotent for duplicates."""
-    if isinstance(item, _TBOX_TYPES):
-        if item in kb.tbox:
-            return kb
-        return KnowledgeBase(kb.tbox | {item}, dict(kb.abox), kb.rbox, dict(kb.closures))
-    if isinstance(item, ABoxAssertion):
-        existing = kb.abox.get(item.atom)
-        if existing is not None and existing <= item.asserted_at:
-            return kb
-        abox = dict(kb.abox)
-        abox[item.atom] = item.asserted_at
-        memo = kb._memo if existing is not None else kb._memo.extended()
-        return KnowledgeBase(kb.tbox, abox, kb.rbox, dict(kb.closures), memo)
-    if isinstance(item, HornRule):
-        if item in kb.rbox:
-            return kb
-        return KnowledgeBase(kb.tbox, dict(kb.abox), kb.rbox | {item}, dict(kb.closures))
-    raise MalformedItemError(f"cannot assert {type(item).__name__}")
+    return assert_all(kb, (item,))
 
 
 def assert_all(kb: KnowledgeBase, items: Iterable[KBItem]) -> KnowledgeBase:
+    """Return a new KB containing every item; ``kb`` itself if none adds anything.
+
+    One pass, equal to asserting the items one by one: an A-Box atom
+    keeps its earliest time, and the A-Box is copied once.  Any new
+    T-Box or R-Box item starts a fresh memo; otherwise new A-Box atoms
+    extend ``kb``'s memo, and a KB with the same atoms shares it.
+    """
+    abox = None  # kb.abox, copied at the first change
+    added: list[Atom] = []
+    tbox: set[TBoxAxiom] = set()
+    rbox: set[HornRule] = set()
     for item in items:
-        kb = assert_item(kb, item)
-    return kb
+        if isinstance(item, ABoxAssertion):
+            existing = (kb.abox if abox is None else abox).get(item.atom)
+            if existing is not None and existing <= item.asserted_at:
+                continue
+            if abox is None:
+                abox = dict(kb.abox)
+            if existing is None:
+                added.append(item.atom)
+            abox[item.atom] = item.asserted_at
+        elif isinstance(item, _TBOX_TYPES):
+            if item not in kb.tbox:
+                tbox.add(item)
+        elif isinstance(item, HornRule):
+            if item not in kb.rbox:
+                rbox.add(item)
+        else:
+            raise MalformedItemError(f"cannot assert {type(item).__name__}")
+    if tbox or rbox:
+        return KnowledgeBase(kb.tbox | tbox, kb.abox if abox is None else abox, kb.rbox | rbox, kb.closures)
+    if abox is None:
+        return kb
+    memo = kb._memo.extended(tuple(added)) if added else kb._memo
+    return KnowledgeBase(kb.tbox, abox, kb.rbox, kb.closures, memo)
 
 
 # --- entailment --------------------------------------------------------
@@ -436,8 +498,8 @@ def fixpoint(
     seeds: dict[Atom, Annotation],
     conjoin: Callable[[list[Annotation]], Annotation],
     disjoin: Callable[[Annotation, Annotation], Annotation],
-    closed: dict[Atom, Annotation] | None = None,
-) -> dict[Atom, Annotation]:
+    closed: tuple[dict[Atom, Annotation], FactIndex] | None = None,
+) -> tuple[dict[Atom, Annotation], FactIndex, set[Atom]]:
     """Least fixpoint of the T-Box and R-Box over annotated ground atoms.
 
     ``seeds`` maps each given atom to its annotation.  A one-premise
@@ -450,22 +512,19 @@ def fixpoint(
     annotations form a finite lattice, as sets of atoms and of
     mapping-id paths over a finite KB do.
 
-    ``closed``, if given, is a result of this function for the same
-    T-Box, R-Box and annotations; the rounds continue it, and only the
-    seeds whose annotation it lacks or changes enter the first delta.
+    Returns the annotated atoms, their index and the atoms whose
+    annotation is new or changed.  ``closed``, if given, is the atoms
+    and index of a result of this function for the same T-Box, R-Box
+    and annotations; the rounds extend both in place, and only the
+    seeds whose annotation they lack or change enter the first delta.
     The annotations form a semiring and the fixpoint does not depend
     on evaluation order, so continuing equals computing from scratch.
     """
     heads = _tbox_heads(tbox)
     rules = list(rbox)
-    if closed:
-        facts = dict(closed)
-        index = index_facts(facts)
-        delta = _absorb(facts, seeds, disjoin, index)
-    else:  # every seed is new
-        facts = dict(seeds)
-        index = index_facts(facts)
-        delta = index_facts(facts)
+    facts, index = ({}, {}) if closed is None else closed
+    delta = _absorb(facts, seeds, disjoin, index)
+    changed: set[Atom] = set()
     while delta:
         fresh: dict[Atom, Annotation] = {}
 
@@ -474,6 +533,7 @@ def fixpoint(
             fresh[head] = annotation if prior is None else disjoin(prior, annotation)
 
         for bucket in delta.values():
+            changed.update(bucket)
             for atom in bucket:
                 for head in heads(atom):
                     emit(head, facts[atom])
@@ -484,7 +544,7 @@ def fixpoint(
                     conjoin([facts[substitute(b, binding)] for b in rule.body]),
                 )
         delta = _absorb(facts, fresh, disjoin, index)
-    return facts
+    return facts, index, changed
 
 
 def _absorb(facts: dict, fresh: dict, disjoin: Callable, index: FactIndex) -> FactIndex:
@@ -507,7 +567,160 @@ def _holds(*_) -> bool:
     return True  # the plain annotation: an atom is derived or it is not
 
 
-def saturate(kb: KnowledgeBase) -> frozenset[Atom]:
+_NONE: frozenset = frozenset()
+
+
+class _Closure:
+    """A saturation that grows in place: its atoms in the order derived,
+    their per-predicate index and the individuals entailed in each concept."""
+
+    __slots__ = ("facts", "index", "members")
+
+    def __init__(self, atoms: Iterable[Atom] = ()):
+        self.facts: dict[Atom, bool] = dict.fromkeys(atoms, True)
+        self.index = index_facts(self.facts)
+        self.members: dict[EntityName, dict[EntityName, int]] = {}  # concept -> member -> ordinal
+        self.add_members(self.facts)
+
+    def add_members(self, atoms: Iterable[Atom]) -> None:
+        for a in atoms:
+            if isinstance(a, ClassAtom) and isinstance(a.subject, Individual):
+                order = self.members.setdefault(a.concept, {})
+                order.setdefault(a.subject.name, len(order))
+
+
+class Members(AbstractSet):
+    """The members a concept had when it was closed, as a read-only set.
+
+    They are the first ``count`` of the saturation's member dict for the
+    concept, which later saturations extend in place, so recording them
+    costs no copy.
+    """
+
+    __slots__ = ("_order", "_count")
+
+    def __init__(self, order: dict[EntityName, int], count: int):
+        self._order, self._count = order, count
+
+    def __contains__(self, name) -> bool:
+        return self._order.get(name, self._count) < self._count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return iter(list(islice(self._order, self._count)))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+    @classmethod
+    def _from_iterable(cls, names: Iterable[EntityName]) -> frozenset[EntityName]:
+        return frozenset(names)
+
+
+class _Memo:
+    """The saturation of every KB sharing this memo: they have one T-, A- and R-Box.
+
+    Once computed, it is the first ``size`` atoms of ``closure``.  The
+    memo of a KB with more A-Box atoms takes its base's closure over and
+    extends it in place, from each round's delta; the base then reads
+    its own atoms as a prefix, copied out the first time it is asked
+    again.  Until computed, ``base`` may be the memo of a KB with the
+    same T- and R-Box and a subset of the A-Box, and ``added`` the A-Box
+    atoms asserted since (tuples linked newest first); saturating
+    continues ``base`` with ``added`` as the only seeds.
+    """
+
+    __slots__ = ("closure", "size", "base", "added", "view")
+
+    def __init__(self, base: "_Memo | None" = None, added: tuple | None = None):
+        self.closure: _Closure | None = None
+        self.size = 0
+        self.base = base
+        self.added = added
+        # the last view ``saturate`` handed out, weakly: a view refers to its
+        # memo, and a reference cycle would keep both past the KB's lifetime
+        self.view: weakref.ref[Saturation] | None = None
+
+    def __reduce__(self):
+        return _Memo, ()  # a cache: a pickled or copied KB saturates afresh
+
+    def extended(self, atoms: tuple[Atom, ...]) -> "_Memo":
+        """The memo of a KB with the new A-Box ``atoms`` as well."""
+        if self.closure is not None:
+            return _Memo(self, (atoms, None))
+        if self.base is None:
+            return _Memo()  # nothing computed along the line: start from the whole A-Box
+        return _Memo(self.base, (atoms, self.added))
+
+    def compute(self, kb: KnowledgeBase) -> None:
+        if self.base is None:
+            closure, seeds = _Closure(), kb.abox
+        else:
+            closure, chunks, link = self.base.own(), [], self.added
+            while link is not None:
+                chunks.append(link[0])
+                link = link[1]
+            seeds = [atom for atoms in reversed(chunks) for atom in atoms]
+        _, _, new = fixpoint(
+            kb.tbox, kb.rbox, dict.fromkeys(seeds, True), _holds, _holds, (closure.facts, closure.index)
+        )
+        closure.add_members(new)
+        self.closure, self.size, self.base, self.added = closure, len(closure.facts), None, None
+
+    def own(self) -> _Closure:
+        """The closure, holding this memo's atoms and no later ones."""
+        if len(self.closure.facts) != self.size:
+            self.closure = _Closure(islice(self.closure.facts, self.size))
+        return self.closure
+
+
+class Saturation(AbstractSet):
+    """The atoms derivable from a KB, as a read-only set.
+
+    Membership and size read the KB's memo; iterating, hashing or
+    combining it with another set builds a frozenset of it, once.
+    """
+
+    __slots__ = ("_memo", "_atoms", "__weakref__")
+
+    def __init__(self, memo: _Memo):
+        self._memo = memo
+        self._atoms: frozenset[Atom] | None = None
+
+    def __contains__(self, atom) -> bool:
+        return atom in self._memo.own().facts
+
+    def __len__(self) -> int:
+        return self._memo.size
+
+    def __iter__(self):
+        return iter(self.atoms())
+
+    def __hash__(self) -> int:
+        return hash(self.atoms())
+
+    def __repr__(self) -> str:
+        return f"Saturation({set(self.atoms())!r})"
+
+    def __reduce__(self):
+        return frozenset, (self.atoms(),)  # the memo it reads does not travel
+
+    def atoms(self) -> frozenset[Atom]:
+        if self._atoms is None:
+            self._atoms = frozenset(self._memo.own().facts)
+        return self._atoms
+
+    @classmethod
+    def _from_iterable(cls, atoms: Iterable[Atom]) -> frozenset[Atom]:
+        return frozenset(atoms)
+
+
+def saturate(kb: KnowledgeBase) -> Saturation:
     """Least fixpoint of the ground atoms derivable from the KB.
 
     Combines asserted atoms with subclass propagation, union
@@ -515,36 +728,36 @@ def saturate(kb: KnowledgeBase) -> frozenset[Atom]:
     Horn-rule firing over known individuals.  Terminates because the
     ground atom space over the KB's individuals is finite.  The result
     is computed once per KB and kept on it; a KB that extends its
-    parent's memo continues the parent's saturation.
+    parent's memo continues the parent's saturation.  It is returned as
+    a read-only set view of the memo.
     """
     memo = kb._memo
-    if memo.atoms is None:
-        seeds, closed = dict.fromkeys(kb.abox, True), dict.fromkeys(memo.base or (), True)
-        memo.atoms = frozenset(fixpoint(kb.tbox, kb.rbox, seeds, _holds, _holds, closed))
-        memo.base = None
-    return memo.atoms
+    if memo.closure is None:
+        memo.compute(kb)
+    view = memo.view() if memo.view is not None else None
+    if view is None:
+        view = Saturation(memo)
+        memo.view = weakref.ref(view)
+    return view
+
+
+def _closure(kb: KnowledgeBase) -> _Closure:
+    saturate(kb)
+    return kb._memo.own()
 
 
 def entailed_members(kb: KnowledgeBase, concept: EntityName) -> set[EntityName]:
     """Every individual provably a member of ``concept`` (empty if unknown)."""
-    return {
-        a.subject.name
-        for a in saturate(kb)
-        if isinstance(a, ClassAtom) and a.concept == concept and isinstance(a.subject, Individual)
-    }
+    return set(_closure(kb).members.get(concept, _NONE))
 
 
 def check_disjointness(kb: KnowledgeBase) -> list[Violation]:
     """Individuals provably in both halves of a disjointness axiom."""
     out = []
-    derived = saturate(kb)
-    members: dict[EntityName, set[EntityName]] = {}
-    for a in derived:
-        if isinstance(a, ClassAtom) and isinstance(a.subject, Individual):
-            members.setdefault(a.concept, set()).add(a.subject.name)
+    members = _closure(kb).members
     for ax in sorted(kb.tbox, key=str):
         if isinstance(ax, DisjointClasses):
-            both = members.get(ax.a, set()) & members.get(ax.b, set())
+            both = members.get(ax.a, {}).keys() & members.get(ax.b, {}).keys()
             out.extend(Violation(i, ax) for i in sorted(both))
     return out
 
@@ -559,16 +772,18 @@ def check_all_values_from(kb: KnowledgeBase) -> list[Violation]:
     violation.
     """
     out = []
-    derived = saturate(kb)
+    closure = _closure(kb)
     for ax in sorted(kb.tbox, key=str):
         if not isinstance(ax, AllValuesFrom):
             continue
-        subjects = entailed_members(kb, ax.concept)
-        for a in sorted(derived, key=str):
-            if isinstance(a, PropertyAtom) and a.prop == ax.prop:
-                if a.subject.name in subjects:
-                    if is_member(kb, a.object.name, ax.filler) is Truth.FALSE:
-                        out.append(Violation(a.subject.name, ax))
+        subjects = closure.members.get(ax.concept, _NONE)
+        edges = [
+            a for a in closure.index.get(ax.prop, ())
+            if isinstance(a, PropertyAtom) and a.subject.name in subjects
+        ]
+        for a in sorted(edges, key=str):
+            if is_member(kb, a.object.name, ax.filler) is Truth.FALSE:
+                out.append(Violation(a.subject.name, ax))
     return out
 
 
@@ -582,14 +797,15 @@ def close_class(kb: KnowledgeBase, concept: EntityName, now: float) -> Knowledge
     prior = kb.closures.get(concept)
     if prior is not None and now < prior.closed_at:
         raise ValueError(f"cannot close {concept} at {now} before existing closure at {prior.closed_at}")
+    order = _closure(kb).members.get(concept, {})
     closures = dict(kb.closures)
-    closures[concept] = ClosureRecord(concept, frozenset(entailed_members(kb, concept)), now)
-    return KnowledgeBase(kb.tbox, dict(kb.abox), kb.rbox, closures, kb._memo)
+    closures[concept] = ClosureRecord(concept, Members(order, len(order)), now)
+    return KnowledgeBase(kb.tbox, kb.abox, kb.rbox, closures, kb._memo)
 
 
 def is_member(kb: KnowledgeBase, individual: EntityName, concept: EntityName) -> Truth:
     """Three-valued membership under the closure semantics."""
-    if individual in entailed_members(kb, concept):
+    if individual in _closure(kb).members.get(concept, _NONE):
         return Truth.TRUE
     record = kb.closures.get(concept)
     if record is not None and individual not in record.members:

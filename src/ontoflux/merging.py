@@ -7,8 +7,10 @@ applies every mapping to every asserted external ground fact, then
 chains the resulting local atoms through the local T-Box and R-Box with
 the knowledge base's semi-naive engine (``kb.fixpoint``).  A merge may
 name an earlier merge as its ``parent``: when only the local A-Box grew
-since, it continues the parent's fixpoint with the new local facts as
-seeds and keeps the parent's facts whose paths did not change.
+since, it takes the parent's fixpoint (path sets and index) over,
+continues it with the new local facts as seeds, keeps the parent's
+facts whose paths did not change and sorts only the new atoms into the
+parent's order.
 
 Each derived atom carries its provenance as a set of derivation paths,
 every path being the set of mapping ids it relied on; that path set is
@@ -28,6 +30,7 @@ formula that needs more than ``SCORING_BUDGET`` expansions raises
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -42,6 +45,7 @@ from .errors import (
 from .kb import (
     Atom,
     EntityName,
+    FactIndex,
     KnowledgeBase,
     Variable,
     atom_predicate,
@@ -113,12 +117,33 @@ class DerivedFact:
         return frozenset(m for path in self.paths for m in path)
 
 
+class _FixpointState:
+    """A merge's fixpoint, for a later merge to continue: each derived
+    atom's paths, their index and the derived atoms' ``str`` in order.
+
+    The first merge that continues it takes it over and extends it in
+    place; ``taken`` then tells every merge that held it to rebuild it
+    from its own facts.
+    """
+
+    __slots__ = ("paths", "index", "keys", "taken")
+
+    def __init__(self, paths: dict[Atom, PathSet], index: FactIndex, keys: list[str]):
+        self.paths, self.index, self.keys, self.taken = paths, index, keys, False
+
+    @staticmethod
+    def of(derived: dict[Atom, DerivedFact]) -> "_FixpointState":
+        paths = {atom: fact.paths for atom, fact in derived.items()}
+        return _FixpointState(paths, index_facts(paths), [str(atom) for atom in derived])
+
+
 @dataclass(frozen=True)
 class MergedKB:
     local: KnowledgeBase
     external: KnowledgeBase
     mappings: tuple[Mapping, ...]
     derived: dict[Atom, DerivedFact] = field(default_factory=dict)
+    _state: Optional[_FixpointState] = field(default=None, compare=False, repr=False)
 
     def fact(self, atom: Atom) -> Optional[DerivedFact]:
         return self.derived.get(atom)
@@ -291,19 +316,18 @@ def merge(
     mappings = tuple(mappings)
     added = _added_atoms(parent, local, external, mappings)
     if added is not None and not added:
-        return MergedKB(local, external, mappings, parent.derived)
+        return MergedKB(local, external, mappings, parent.derived, parent._state)
 
-    local_names = _local_namespaces(local)
-    for m in mappings:
-        target_ns = atom_predicate(m.target).namespace
-        if local_names and target_ns not in local_names:
-            raise NamespaceClashError(
-                f"mapping {m.mapping_id} targets namespace {target_ns}, "
-                f"local ontology uses {', '.join(sorted(local_names))}"
-            )
-
-    known: dict[Atom, DerivedFact] = {}
+    prob_of = {m.mapping_id: m.probability for m in mappings}
     if added is None:
+        local_names = _local_namespaces(local)  # a continued parent passed this with fewer names
+        for m in mappings:
+            target_ns = atom_predicate(m.target).namespace
+            if local_names and target_ns not in local_names:
+                raise NamespaceClashError(
+                    f"mapping {m.mapping_id} targets namespace {target_ns}, "
+                    f"local ontology uses {', '.join(sorted(local_names))}"
+                )
         seeds: dict[Atom, PathSet] = dict.fromkeys(local.abox, LOCAL)
         external_facts = index_facts(external.abox)
         for m in mappings:
@@ -312,19 +336,37 @@ def merge(
                 mapped = substitute(m.target, binding)
                 if is_ground(mapped):
                     seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
-    else:
-        known, seeds = parent.derived, dict.fromkeys(added, LOCAL)
-    closed = {atom: fact.paths for atom, fact in known.items()}
-    paths = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin, closed)
+        paths, index, _ = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin)
+        keyed = sorted((str(atom), atom) for atom in paths)  # str(atom) is unique
+        derived = {atom: DerivedFact(atom, fact_probability(paths[atom], prob_of), paths[atom])
+                   for _, atom in keyed}
+        state = _FixpointState(paths, index, [key for key, _ in keyed])
+        return MergedKB(local, external, mappings, derived, state)
 
-    prob_of = {m.mapping_id: m.probability for m in mappings}
-    derived = {}
-    for atom, ps in sorted(paths.items(), key=lambda item: str(item[0])):
-        fact = known.get(atom) if known else None
-        if fact is None or fact.paths != ps:
-            fact = DerivedFact(atom, fact_probability(ps, prob_of), ps)
-        derived[atom] = fact
-    return MergedKB(local, external, mappings, derived)
+    state = parent._state
+    if state is None or state.taken:
+        state = _FixpointState.of(parent.derived)
+    state.taken = True
+    paths, index, changed = fixpoint(
+        local.tbox, local.rbox, dict.fromkeys(added, LOCAL), _conjoin, _disjoin, (state.paths, state.index)
+    )
+    facts = {atom: DerivedFact(atom, fact_probability(paths[atom], prob_of), paths[atom]) for atom in changed}
+    new = sorted((str(atom), atom) for atom in changed if atom not in parent.derived)
+    keys = state.keys
+    if new and keys and new[0][0] < keys[-1]:  # new atoms go between old ones: rebuild the order
+        atoms = list(parent.derived)
+        for key, atom in reversed(new):  # from the last, so that each insert keeps the earlier places
+            at = bisect_left(keys, key)
+            keys.insert(at, key)
+            atoms.insert(at, atom)
+        derived = dict.fromkeys(atoms)
+        derived.update(parent.derived)
+    else:
+        keys.extend(key for key, _ in new)
+        derived = dict(parent.derived)
+        derived.update((atom, facts[atom]) for _, atom in new)
+    derived.update(facts)  # the facts whose paths changed keep their place
+    return MergedKB(local, external, mappings, derived, _FixpointState(paths, index, keys))
 
 
 @dataclass(frozen=True)

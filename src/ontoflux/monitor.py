@@ -8,13 +8,19 @@ proposition at the new time on the action records drained this tick,
 materialize the merged fact set, (d) re-close every configured concept,
 (e) commit the clock.
 
-A tick costs what changed in it.  The A-Box only grows, so the
-knowledge base continues its last saturation with the drained facts,
-and step (c) continues the previous tick's merge: with no new fact and
-the same accepted mappings it keeps the previous fact set, otherwise it
-seeds the previous fixpoint with the new facts only.  Step (b) needs
-only the new records: an earlier record was already seen, at its own
-tick, by every proposition still pending.
+A tick costs what changed in it.  The A-Box only grows: step (a)
+asserts the drained events in one pass, and the knowledge base
+continues its last saturation from them alone, with the fact index and
+the member sets of every concept carried along, so membership checks
+and closures in steps (b) and (d) read a set instead of rescanning the
+saturation.  Step (c) continues the previous tick's merge: with no new
+fact and the same accepted mappings it keeps the previous fact set,
+otherwise it seeds the previous fixpoint with the new facts only.  Step
+(b) needs only the new records: an earlier record was already seen, at
+its own tick, by every proposition still pending.  What still grows
+with the run is copying, once per tick that adds to them: the event log
+tuple, the A-Box dict and the merged fact dict, which a merge rebuilds
+in ``str(atom)`` order when a new fact sorts between older ones.
 
 Every effect is appended to an append-only log with lines
 of the form ``tick=<n> step=<a..e> detail=<text>``; the log is
@@ -41,7 +47,7 @@ from .kb import (
     Individual,
     KnowledgeBase,
     Truth,
-    assert_item,
+    assert_all,
     close_class,
     is_member,
 )
@@ -136,14 +142,14 @@ def tick(
     """Advance one time unit through the five sub-steps."""
     now = state.clock + 1.0
     n = int(round(now))
-    log = list(state.event_log)
+    log: list[str] = []  # this tick's lines
     kb = state.kb
 
     # (a) drain events timestamped inside (clock, now]
     due_events = tuple(e for e in state.pending_events if e.asserted_at <= now)
     pending_events = tuple(e for e in state.pending_events if e.asserted_at > now)
+    kb = assert_all(kb, due_events)
     for event in due_events:
-        kb = assert_item(kb, event)
         log.append(
             f"tick={n} step=a detail=assert {textio.format_atom(event.atom)} @ {_format_time(event.asserted_at)}"
         )
@@ -208,7 +214,7 @@ def tick(
         propositions=propositions,
         merge_relation=merge_relation,
         merged=merged,
-        event_log=tuple(log),
+        event_log=state.event_log + tuple(log),
     )
 
 

@@ -1,10 +1,17 @@
+import copy
+import functools
 import math
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontoflux
 from helpers import random_assertion, random_kb, reference_saturate
 from ontoflux.errors import MalformedItemError
 from ontoflux.kb import (
@@ -24,8 +31,10 @@ from ontoflux.kb import (
     Truth,
     UnionEquivalence,
     Variable,
+    Violation,
     assert_all,
     assert_item,
+    atom_terms,
     check_all_values_from,
     check_disjointness,
     close_class,
@@ -416,19 +425,26 @@ def test_new_assertion_extends_the_memo_and_a_known_one_keeps_it():
     kb = assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT)])
     kb = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("a")), 2.0))
     before = saturate(kb)
+    atoms = frozenset(before)
     # an earlier time for a known atom: the same atoms, so the same saturation
     earlier = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("a")), 1.0))
     assert earlier.abox[ClassAtom(ACTION, ind("a"))] == 1.0
     assert saturate(earlier) is before
-    # new atoms continue the last computed saturation, and forget it once saturated
-    grown = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("b"))))
-    grown = assert_item(grown, ABoxAssertion(ClassAtom(AGENT, ind("c"))))
-    assert grown._memo.base is before
-    assert saturate(grown) == before | {
-        ClassAtom(ACTION, ind("b")), ClassAtom(EVENT, ind("b")), ClassAtom(AGENT, ind("c"))
-    }
-    assert grown._memo.base is None
+    # new atoms continue the last computed saturation, seeded with the new
+    # atoms only, and forget it once saturated
+    b, c = ClassAtom(ACTION, ind("b")), ClassAtom(AGENT, ind("c"))
+    grown = assert_item(assert_item(kb, ABoxAssertion(b)), ABoxAssertion(c))
+    assert grown._memo.base is kb._memo
+    assert grown._memo.added == ((c,), ((b,), None))
+    assert saturate(grown) == atoms | {b, ClassAtom(EVENT, ind("b")), c}
+    assert grown._memo.base is None and grown._memo.added is None
+    # the grown KB took the closure over and extended it; the older KB still
+    # answers with its own atoms
     assert saturate(kb) is before
+    assert before == atoms and len(before) == 2 and b not in before
+    assert entailed_members(kb, EVENT) == {n("a", "i")}
+    assert is_member(kb, n("b", "i"), ACTION) is Truth.UNKNOWN
+    assert entailed_members(grown, EVENT) == {n("a", "i"), n("b", "i")}
 
 
 def test_schema_assertion_after_saturation_derives_the_new_consequences():
@@ -453,3 +469,203 @@ def test_assertions_list_class_and_property_atoms_together():
     )
     assert [str(a.atom) for a in kb.assertions()] == ["O:Event(i:a)", "O:about(i:a, i:b)"]
     assert assert_all(KnowledgeBase.empty(), kb.assertions()) == kb
+
+
+# --- one-pass bulk assertion ---------------------------------------------------
+
+
+def memo_lineage(kb: KnowledgeBase) -> tuple:
+    """What ``kb``'s memo holds or continues: computed, or its base and the atoms added since."""
+    memo, added = kb._memo, []
+    link = memo.added
+    while link is not None:
+        added[:0] = link[0]
+        link = link[1]
+    return memo.closure is not None, memo.base, tuple(added)
+
+
+def random_items(rng: random.Random, kb: KnowledgeBase) -> list:
+    """A-Box assertions, new and known, at earlier and later times, and now and then a schema item."""
+    donor = random_kb(rng)
+    items = [random_assertion(rng, kb) for _ in range(rng.randint(0, 6))]
+    known = rng.sample(sorted(kb.abox, key=str), min(2, len(kb.abox)))
+    items += [ABoxAssertion(a, rng.choice([0.0, 0.5, 4.0])) for a in known]
+    items += donor.assertions()[: rng.randint(0, 3)]
+    if rng.random() < 0.3:
+        items += sorted(donor.tbox, key=str)[:1] + sorted(donor.rbox, key=str)[:1]
+    rng.shuffle(items)
+    return items
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_assert_all_equals_asserting_one_by_one(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng)
+    if rng.random() < 0.5:
+        saturate(kb)
+    if rng.random() < 0.3:
+        kb = assert_item(kb, random_assertion(rng, kb))  # a memo not yet computed, with a base
+    items = random_items(rng, kb)
+    bulk = assert_all(kb, items)
+    folded = functools.reduce(assert_item, items, kb)
+    assert bulk == folded and repr(bulk) == repr(folded)
+    assert list(bulk.abox.items()) == list(folded.abox.items())  # insertion order too
+    assert memo_lineage(bulk) == memo_lineage(folded)
+    assert (bulk is kb) == (folded is kb)
+    assert (bulk._memo is kb._memo) == (folded._memo is kb._memo)
+    assert saturate(bulk) == reference_saturate(folded)
+
+
+def test_assert_all_copies_the_abox_once_and_shares_it_when_nothing_changes():
+    kb = assert_all(KnowledgeBase.empty(), [ABoxAssertion(ClassAtom(EVENT, ind("a")), 1.0)])
+    assert assert_all(kb, [ABoxAssertion(ClassAtom(EVENT, ind("a")), 2.0)]) is kb
+    typed = assert_all(kb, [SubClassOf(EVENT, ENTITY)])
+    assert typed.abox is kb.abox and typed._memo is not kb._memo
+    closed = close_class(kb, EVENT, now=1.0)
+    assert closed.abox is kb.abox and closed._memo is kb._memo
+    with pytest.raises(MalformedItemError):
+        assert_all(kb, [ABoxAssertion(ClassAtom(EVENT, ind("b"))), "not an item"])
+
+
+# --- saturations that outgrow each other ------------------------------------------
+
+
+def members_in(derived, concept: EntityName) -> set[EntityName]:
+    return {a.subject.name for a in derived if isinstance(a, ClassAtom) and a.concept == concept}
+
+
+def assert_answers_match_the_reference(kb: KnowledgeBase) -> None:
+    want = reference_saturate(kb)
+    assert saturate(kb) == want and len(saturate(kb)) == len(want)
+    assert all(atom in saturate(kb) for atom in want)
+    names = {t.name for a in want for t in atom_terms(a)} | {n("nobody", "i")}
+    for concept in {a.concept for a in want if isinstance(a, ClassAtom)} | {n("Nowhere")}:
+        assert entailed_members(kb, concept) == members_in(want, concept)
+        for name in names:
+            assert (is_member(kb, name, concept) is Truth.TRUE) == (name in members_in(want, concept))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_parent_saturated_before_its_children_keeps_its_answers(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_size=8)
+    parent, rest = split_abox(kb, rng)
+    saturate(parent)
+    concept = next((a.concept for a in sorted(kb.abox, key=str) if isinstance(a, ClassAtom)), n("Nowhere"))
+    parent = close_class(parent, concept, now=1.0)
+    record = parent.closures[concept]
+    frozen_members = frozenset(record.members)
+    # the first child takes the parent's closure over, a sibling copies the parent's part of it
+    first = assert_all(parent, rest[: len(rest) // 2])
+    second = assert_all(parent, rest[len(rest) // 2:] + [random_assertion(rng, kb)])
+    for child in (first, second, parent, assert_all(first, rest)):
+        assert_answers_match_the_reference(child)
+    assert_answers_match_the_reference(parent)
+    assert record.members == frozen_members == members_in(reference_saturate(parent), concept)
+    assert len(record.members) == len(frozen_members)
+    assert all(m in record.members for m in frozen_members)
+    later = members_in(reference_saturate(assert_all(first, rest)), concept) - frozen_members
+    assert not any(m in record.members for m in later)
+    grown = close_class(first, concept, now=2.0)
+    assert grown.closures[concept].members == members_in(reference_saturate(first), concept)
+
+
+def test_a_closure_record_keeps_the_members_it_was_closed_with():
+    kb = close_class(assert_item(KnowledgeBase.empty(), ABoxAssertion(ClassAtom(EVENT, ind("a")))), EVENT, now=1.0)
+    record = kb.closures[EVENT]
+    grown = assert_item(kb, ABoxAssertion(ClassAtom(EVENT, ind("b")), 2.0))
+    assert is_member(grown, n("b", "i"), EVENT) is Truth.TRUE  # extends the member set the record reads
+    assert grown.closures[EVENT] is record and n("b", "i") not in record.members
+    assert record.members == {n("a", "i")} and len(record.members) == 1
+    assert is_member(kb, n("b", "i"), EVENT) is Truth.FALSE
+
+
+# --- names and atoms hash once ------------------------------------------------------
+
+PICKLE_SCRIPT = r"""
+import pickle, sys
+from ontoflux.kb import ClassAtom, EntityName, Individual, PropertyAtom, Variable
+
+def atoms():
+    a, b = Individual(EntityName("i", "a")), Individual(EntityName("i", "b"))
+    return [EntityName("O", "Event"), a, Variable("x"), ClassAtom(EntityName("O", "Event"), a),
+            PropertyAtom(EntityName("O", "rel"), a, b)]
+
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(atoms()))
+else:
+    loaded, fresh = pickle.loads(sys.stdin.buffer.read()), atoms()
+    print(loaded == fresh, all(x in set(fresh) for x in loaded), all(x in set(loaded) for x in fresh),
+          [hash(x) for x in loaded] == [hash(x) for x in fresh])
+"""
+
+
+def test_an_atom_pickled_under_one_hash_seed_is_found_under_another():
+    package_root = str(Path(ontoflux.__file__).resolve().parent.parent)
+
+    def python(mode: str, seed: str, data: bytes = b"") -> bytes:
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONHASHSEED": seed}
+        return subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, mode], input=data,
+                              capture_output=True, check=True, env=env).stdout
+
+    assert python("load", "2", python("dump", "1")) == b"True True True True\n"
+
+
+def test_copies_of_an_atom_are_equal_with_an_equal_hash():
+    a, b = ind("a"), ind("b")
+    for value in (n("Event"), a, Variable("x"), ClassAtom(EVENT, a), PropertyAtom(ABOUT, a, b)):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and hash(clone) == hash(value) and repr(clone) == repr(value)
+    assert ClassAtom(EVENT, a) < ClassAtom(EVENT, b) and n("A") < n("B")
+    with pytest.raises(AttributeError):
+        ClassAtom(EVENT, a).concept = ACTION
+    # a saturated KB, whose memo holds its set view weakly, pickles and copies too
+    kb = close_class(assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, a))]),
+                     EVENT, now=1.0)
+    for clone in (copy.deepcopy(kb), pickle.loads(pickle.dumps(kb))):
+        assert clone == kb and repr(clone) == repr(kb)
+        assert saturate(clone) == saturate(kb) and ClassAtom(EVENT, a) in saturate(clone)
+    assert pickle.loads(pickle.dumps(saturate(kb))) == copy.deepcopy(saturate(kb)) == saturate(kb)
+
+
+# --- the checks read the memo ---------------------------------------------------------
+
+
+def reference_violations(kb: KnowledgeBase) -> tuple[list, list]:
+    """``check_disjointness`` and ``check_all_values_from``, over the reference saturation."""
+    derived = reference_saturate(kb)
+    disjoint = [
+        Violation(i, ax)
+        for ax in sorted(kb.tbox, key=str) if isinstance(ax, DisjointClasses)
+        for i in sorted(members_in(derived, ax.a) & members_in(derived, ax.b))
+    ]
+
+    def definitely_not(name: EntityName, concept: EntityName) -> bool:
+        record = kb.closures.get(concept)
+        return name not in members_in(derived, concept) and record is not None and name not in record.members
+
+    universal = [
+        Violation(a.subject.name, ax)
+        for ax in sorted(kb.tbox, key=str) if isinstance(ax, AllValuesFrom)
+        for a in sorted(derived, key=str)
+        if isinstance(a, PropertyAtom) and a.prop == ax.prop
+        and a.subject.name in members_in(derived, ax.concept) and definitely_not(a.object.name, ax.filler)
+    ]
+    return disjoint, universal
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_checks_equal_their_reference_over_the_reference_saturation(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_size=8)
+    classes = sorted({a.concept for a in kb.abox if isinstance(a, ClassAtom)}, key=str) or [n("C0", "A")]
+    props = sorted({a.prop for a in kb.abox if isinstance(a, PropertyAtom)}, key=str) or [n("p0", "A")]
+    kb = assert_all(kb, [AllValuesFrom(rng.choice(classes), rng.choice(props), rng.choice(classes))
+                         for _ in range(rng.randint(1, 3))])
+    for concept in rng.sample(classes, rng.randint(0, len(classes))):
+        kb = close_class(kb, concept, now=1.0)
+    kb = assert_all(kb, [random_assertion(rng, kb) for _ in range(rng.randint(0, 3))])  # closures go stale
+    assert (check_disjointness(kb), check_all_values_from(kb)) == reference_violations(kb)

@@ -438,6 +438,32 @@ merged = merge(local, external, mappings)
 print([(str(a), repr(fact.probability)) for a, fact in merged.derived.items()])
 for text in ("L:Q(x) & L:B(x)", "L:B(x) & L:C(x)", "L:A(x) & L:B(x)"):
     print([(a.binding, repr(a.probability)) for a in query(merged, parse_query(text))])
+# a seeded monitor episode: its log, its propositions and every stored fact
+import random
+from ontoflux import monitor
+from ontoflux.io import parse_events
+from ontoflux.kb import EntityName
+from ontoflux.temporal import ActionPattern, Interval, Polarity, TemporalProposition
+rng = random.Random(11)
+people = [f"x{i}" for i in range(8)]
+onto = parse_ontology("namespace O\nclass O:Tag\nclass O:Hot\nsubclass O:C0 O:C1\nsubclass O:C1 O:C2\nproperty O:rel\n"
+                      "domain O:rel O:C0\nrule r1: O:C1(x), O:rel(x, y) -> O:C2(y)\n"
+                      "rule r2: O:C1(x), O:Tag(x) -> O:Hot(x)\nassert up:Agent(a0)\n"
+                      + "".join(f"assert O:C{rng.randrange(3)}({x})\n" for x in people[:4]))
+script = "".join(f"at {rng.uniform(0.1, 20):.3f} assert O:C{rng.randrange(3)}({rng.choice(people)})\n"
+                 f"at {rng.uniform(0.1, 20):.3f} assert O:rel({rng.choice(people)}, {rng.choice(people)})\n"
+                 f"at {rng.uniform(0.1, 20):.3f} action act{k} O:Review by a0 target T{k % 2} T2\n" for k in range(8))
+outside = parse_ontology("namespace X\nclass X:Obs\nproperty X:link\n"
+                         + "".join(f"assert X:Obs({x})\nassert X:link({x}, {rng.choice(people)})\n" for x in people[::2]))
+maps = parse_mappings("map m1: O:C0(x) <- X:Obs(x) ; P(0.61)\nmap m2: O:rel(x, y) <- X:link(x, y) ; P(0.73)\n"
+                      "map m3: O:Tag(x) <- X:Obs(x) ; P(0.67)\nmap m4: O:C1(x) <- X:Obs(x) ; P(0.29)\n")
+props = [TemporalProposition(f"p{i}", Polarity.POSITIVE, ActionPattern(EntityName("O", "Review"), f"T{i % 2}"),
+                             Interval(float(i), float(i + 3))) for i in range(0, 20, 2)]
+state = monitor.init(onto, (EntityName("O", "C2"), EntityName("up", "Agent")), props)
+state, log = monitor.run(state, 21, monitor.MergePolicy(0.25), maps, outside, parse_events(script))
+print("\n".join(log))
+print([(p.prop_id, p.state.value) for p in state.propositions])
+print([(str(a), sorted(sorted(path) for path in f.paths), repr(f.probability)) for a, f in state.merged.derived.items()])
 """
 
 
@@ -485,6 +511,30 @@ def test_merge_continued_from_a_parent_equals_a_fresh_merge(seed, from_random_kb
     parent = merge(half, external, mappings)
     assert_same_merge(merge(half, external, mappings, parent=parent), parent)
     assert_same_merge(merge(local, external, mappings, parent=parent), merge(local, external, mappings))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_a_parent_merge_continued_twice_gives_each_child_the_fresh_facts(seed, from_random_kb):
+    """The first child takes the parent's fixpoint over and extends it in place;
+    a second child of the same parent, and the parent itself, must not see that."""
+    rng = random.Random(seed)
+    if from_random_kb:
+        local, external, mappings = random_kb_scenario(rng)
+    else:
+        local, external, mappings, _ = random_scenario(rng)
+    half = split_local(local, rng)
+    parent = merge(half, external, mappings)
+    facts = [(a, f.paths, f.probability) for a, f in parent.derived.items()]
+    rest = [a for a in sorted(local.abox, key=str) if a not in half.abox]
+    rng.shuffle(rest)
+    first = assert_all(half, [ABoxAssertion(a, local.abox[a]) for a in rest[: len(rest) // 2]])
+    second = assert_all(half, [ABoxAssertion(a, local.abox[a]) for a in rest[len(rest) // 2:]])
+    for child in (first, second, local):
+        assert_same_merge(merge(child, external, mappings, parent=parent), merge(child, external, mappings))
+    assert [(a, f.paths, f.probability) for a, f in parent.derived.items()] == facts
+    continued = merge(first, external, mappings, parent=parent)
+    assert_same_merge(merge(local, external, mappings, parent=continued), merge(local, external, mappings))
 
 
 def continuation_scenario() -> tuple[KnowledgeBase, KnowledgeBase, list[Mapping]]:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import ontoflux.kb
+
 from helpers import reference_saturate, world_atom_probabilities
 
 from ontoflux import monitor
@@ -334,3 +336,40 @@ def test_each_tick_stores_the_possible_worlds_probabilities(seed):
             assert abs(fact.probability - want[atom]) <= 1e-12, (atom, fact.paths)
             overlapping += len(fact.mapping_ids()) < sum(map(len, fact.paths))
     assert overlapping > 0
+
+
+# --- an ingesting tick costs what it ingests -------------------------------------
+
+
+def grown_monitor(size: int) -> tuple[MonitorState, MergePolicy, list, KnowledgeBase]:
+    """A monitor over ``size`` individuals on a subclass chain, with a rule, mappings and one closed concept."""
+    onto = ["namespace O", "property O:rel", "domain O:rel O:C0", "range O:rel O:C2",
+            "rule r1: O:C1(x), O:rel(x, y) -> O:C3(y)"] + [f"subclass O:C{k} O:C{k + 1}" for k in range(5)]
+    onto += [f"assert O:C{k % 6}(x{k})" for k in range(size)] + [f"assert O:rel(x{k}, x{k + 7})" for k in range(8)]
+    external = parse_ontology("namespace X\nclass X:Obs\n" + "".join(f"assert X:Obs(x{k})\n" for k in range(10)))
+    mappings = parse_mappings("map m1: O:C0(x) <- X:Obs(x) ; P(0.7)\nmap m2: O:C4(x) <- X:Obs(x) ; P(0.3)\n")
+    state = monitor.init(parse_ontology("\n".join(onto) + "\n"), (EntityName("O", "C5"),))
+    return state, MergePolicy(0.0), mappings, external
+
+
+def test_an_ingesting_tick_indexes_as_many_atoms_at_any_abox_size(monkeypatch):
+    """The engine files an atom under its predicate (``kb.atom_predicate``) when it
+    indexes or joins it: an ingesting tick must do that as often over 2,000
+    individuals as over 200, so its cost follows what it ingests."""
+    calls = []
+    counted = ontoflux.kb.atom_predicate
+    monkeypatch.setattr(ontoflux.kb, "atom_predicate", lambda atom: calls.append(atom) or counted(atom))
+    counts = {}
+    for size in (200, 2000):
+        state, policy, mappings, external = grown_monitor(size)
+        state = tick(state, policy, mappings, external)  # the first saturation and merge start from scratch
+        per_tick = []
+        for n in range(2, 8):
+            atom = ClassAtom(EntityName("O", f"C{n % 3}"), ind(f"new{n}"))
+            state = enqueue_event(state, ABoxAssertion(atom, n - 0.5))
+            calls.clear()
+            state = tick(state, policy, mappings, external)
+            per_tick.append(len(calls))
+            assert atom in saturate(state.kb) and state.merged.fact(atom) is not None
+        counts[size] = per_tick
+    assert counts[200] == counts[2000] and min(counts[200]) > 0
