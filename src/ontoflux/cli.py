@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -152,7 +153,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="ontoflux", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -202,8 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OntofluxError, OSError, ValueError) as exc:

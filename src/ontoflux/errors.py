@@ -62,9 +62,10 @@ class ProbabilityOutOfRangeError(OntofluxError, ValueError):
 class ParseError(OntofluxError):
     """Syntax error in a text document, with exact position information.
 
-    ``column`` is the 1-based offset of the first byte at which no
-    continuation of a valid statement exists; ``expected`` lists the
-    token kinds that would have been acceptable there.
+    ``column`` is the 1-based offset, in characters, of the first
+    character at which no continuation of a valid statement exists;
+    ``expected`` lists the token kinds that would have been acceptable
+    there.
     """
 
     def __init__(self, line: int, column: int, expected: tuple[str, ...], found: str = ""):

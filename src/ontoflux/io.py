@@ -1,10 +1,14 @@
 """Text formats: ontologies, mappings, fragments, configs, queries, results.
 
 All documents are line based, UTF-8, one statement per line, with `#`
-comments and blank lines ignored.  Parsers report failures as
-``ParseError`` carrying the 1-based line and column of the first byte
-at which no continuation of a valid statement exists, plus the token
-kinds that would have been acceptable there.
+comments and blank lines ignored.  Keywords are whole words: `byalice`
+is one identifier.  Parsers report failures as ``ParseError`` carrying
+the 1-based line and column of the first character at which no
+continuation of a valid statement exists, plus the token kinds that
+would have been acceptable there.  Each statement kind is one grammar,
+compiled to a regular expression that reads a valid line in one match;
+a line it rejects is walked token by token over the same grammar to
+find that position.
 
 Name resolution: a document may declare `namespace NS`; unqualified
 names resolve against it, qualified names (`O2:Event`) stand alone.
@@ -23,6 +27,7 @@ column order; floats carry 9 significant digits.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -47,132 +52,178 @@ from .kb import (
     UnionEquivalence,
     Variable,
     assert_all,
+    atom_predicate,
 )
 from .mfrag import LocalDistribution, MFrag, MTheory
 from .merging import Mapping
 from .simulate import Costs, GammaParams, Regime, SimConfig, SimStats
 from .temporal import ActionRecord
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"[-+]?\d+(\.\d+)?([eE][-+]?\d+)?")
-_COMMA_NUMBER = re.compile(r"[-+]?\d+(,\d+)?")
-
 # Individuals are cross-ontology constants: an unqualified argument token
 # lands in this shared namespace, so the same name written in two
 # documents denotes the same object.  Qualify to opt out.
 INSTANCE_NAMESPACE = "i"
 
+# --- statement grammars -------------------------------------------------
+#
+# A statement kind is a grammar: a tuple of elements, each a tuple led by its kind.
+#   ("id", what), ("num", what, comma)  an identifier or a number, captured; `comma` admits `0,8`
+#   ("name", what), ("term", what)      an identifier with an optional `ns:` prefix, captured
+#                                       as two groups; a name needs the prefix where the
+#                                       document sets no namespace
+#   ("sym", s, ...), ("word", w)        one of the symbols, or the keyword as a whole word
+#   ("opt", lead, *items)               `items` if the symbol or word `lead` comes next
+#   ("list", sep, *items)               `items`, again after each `sep` (or while the line
+#                                       goes on, if `sep` is None); captured as one group
+# `what` names the token in errors.  Blanks may precede any token.  Reading is greedy and
+# never backtracks: once a lead or separator is read, what follows it is mandatory.
 
-class _Scanner:
-    """Single-line cursor with exact-position errors."""
+# Each token reads its longest form: a lookahead refuses a shorter one (`re` has no possessive
+# quantifiers before Python 3.11), so no expression here can backtrack into another reading.
+_IDENT_SOURCE = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+_DIGITS = r"\d+(?!\d)"
+_NUMBER_SOURCE = rf"[-+]?{_DIGITS}(?:\.{_DIGITS}|(?!\.\d))(?:[eE][-+]?{_DIGITS}|(?![eE][-+]?\d))"
+_IDENT = re.compile(_IDENT_SOURCE)
+_NUMBER = re.compile(_NUMBER_SOURCE)
+_BLANKS = re.compile(r"[ \t]*")
+_AT_END = re.compile(r"[ \t]*(?:#|\Z)")
+_HEAD = re.compile(rf"[ \t]*(?:({_IDENT_SOURCE})|#|\Z)")
 
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
-        self.pos = 0
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+def _regex(grammar: tuple, qualified: bool, capture: bool = True) -> str:
+    """One expression for ``grammar`` that accepts exactly what ``_walk`` accepts."""
+    out = []
+    for kind, *args in grammar:
+        if kind in ("opt", "list"):
+            lead = r"(?![ \t]*(?:#|\Z))" if args[0] is None else _regex(args[:1], qualified, False)
+            items = _regex(tuple(args[1:]), qualified, capture and kind == "opt")
+            if kind == "opt":
+                out.append(f"(?:{lead}{items}|(?!{lead}))")
+            else:
+                items = f"{items}(?:{lead}{items})*(?!{lead})"
+                out.append(f"({items})" if capture else items)
+            continue
+        if kind in ("sym", "word"):
+            token = "(?:" + "|".join(map(re.escape, args)) + ")" + ("(?![A-Za-z0-9_])" if kind == "word" else "")
+        else:
+            token = _NUMBER_SOURCE if kind == "num" else _IDENT_SOURCE
+            if kind == "num" and args[1]:  # `0,8` reads longer with a decimal comma than without
+                token = rf"(?:[-+]?\d+,{_DIGITS}|(?![-+]?\d+,\d){token})"
+            token = f"({token})" if capture else token
+        token = r"[ \t]*" + token
+        if kind in ("name", "term"):
+            local = r"[ \t]*:" + _regex((("id", "local name"),), qualified, capture)
+            token += local if kind == "name" and qualified else rf"(?:{local}|(?![ \t]*:))"
+        out.append(token)
+    return "".join(out)
 
-    @property
-    def column(self) -> int:
-        return self.pos + 1
 
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text) or self.text[self.pos] == "#"
+def _fail(text: str, pos: int, line_no: int, *expected: str) -> NoReturn:
+    pos = _BLANKS.match(text, pos).end()
+    found = ""
+    if not _AT_END.match(text, pos):
+        m = _IDENT.match(text, pos)
+        found = m.group(0) if m else text[pos]
+    raise ParseError(line_no, pos + 1, expected, found)
 
-    def _found(self) -> str:
-        if self.at_end():
-            return ""
-        m = _IDENT.match(self.text, self.pos)
-        return m.group(0) if m else self.text[self.pos]
 
-    def fail(self, *expected: str) -> NoReturn:
-        self._skip_ws()
-        raise ParseError(self.line, self.column, tuple(expected), self._found())
+def _lead(element: Optional[tuple], text: str, pos: int) -> Optional[int]:
+    """The position after ``element`` if it comes next, else None; None comes while the line goes on."""
+    if element is None:
+        return None if _AT_END.match(text, pos) else pos
+    m = re.compile(_regex((element,), True, False)).match(text, pos)
+    return m.end() if m else None
 
-    def expect_end(self) -> None:
-        if not self.at_end():
-            self.fail("end of line")
 
-    def try_symbol(self, *symbols: str) -> Optional[str]:
-        self._skip_ws()
-        for sym in symbols:
-            if self.text.startswith(sym, self.pos):
-                self.pos += len(sym)
-                return sym
-        return None
+def _walk(grammar: tuple, text: str, pos: int, line_no: int, ns: Optional[str]) -> int:
+    """Read ``grammar`` token by token; raise at the first token that cannot continue."""
+    for kind, *args in grammar:
+        if kind in ("opt", "list"):
+            after = pos if kind == "list" else _lead(args[0], text, pos)
+            while after is not None:
+                pos = _walk(tuple(args[1:]), text, after, line_no, ns)
+                after = _lead(args[0], text, pos) if kind == "list" else None
+            continue
+        after = _lead(("id", *args) if kind in ("name", "term") else (kind, *args), text, pos)
+        if after is None:
+            _fail(text, pos, line_no, *([f"'{s}'" for s in args] if kind in ("sym", "word") else args[:1]))
+        pos = after
+        if kind in ("name", "term"):
+            after = _lead(("sym", ":"), text, pos)
+            if after is not None:
+                pos = _walk((("id", "local name"),), text, after, line_no, ns)
+            elif kind == "name" and ns is None:
+                _fail(text, pos, line_no, "namespace-qualified name")
+    return pos
 
-    def take_symbol(self, *symbols: str) -> str:
-        got = self.try_symbol(*symbols)
-        if got is None:
-            self.fail(*(f"'{s}'" for s in symbols))
-        return got
 
-    def take_identifier(self, what: str = "identifier") -> str:
-        self._skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            self.fail(what)
-        self.pos = m.end()
-        return m.group(0)
+class _Statement:
+    """One statement kind: its grammar and, from its first use, its expressions."""
 
-    def take_number(self, what: str = "number", decimal_comma: bool = False) -> float:
-        self._skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if decimal_comma:
-            cm = _COMMA_NUMBER.match(self.text, self.pos)
-            if cm and (not m or cm.end() > m.end()):
-                self.pos = cm.end()
-                return float(cm.group(0).replace(",", "."))
-        if not m:
-            self.fail(what)
-        self.pos = m.end()
-        return float(m.group(0))
+    def __init__(self, *grammar: tuple):
+        self.grammar = grammar
+
+    @functools.cached_property
+    def patterns(self) -> tuple[re.Pattern, re.Pattern]:
+        """With and without a default namespace; each also reads a line's blank or comment end."""
+        end = r"(?:[ \t]*(?:#.*)?\Z)?"
+        return tuple(re.compile(_regex(self.grammar, q) + end, re.DOTALL) for q in (False, True))
+
+    def match(self, text: str, pos: int, line_no: int, ns: Optional[str]) -> re.Match:
+        """Match the statement at ``pos``, or raise the error of its first bad token."""
+        m = self.patterns[ns is None].match(text, pos)
+        if m is None:
+            _walk(self.grammar, text, pos, line_no, ns)
+        return m
+
+
+def _keyword(text: str, line_no: int, what: str = "statement keyword") -> tuple[Optional[str], int]:
+    """A line's first word and the position after it; no word for a blank or comment line."""
+    m = _HEAD.match(text)
+    if m is None:
+        _fail(text, 0, line_no, what)
+    return m.group(1), m.end()
+
+
+def _expect_end(m: re.Match, line_no: int) -> None:
+    """Raise unless the statement ``m`` read the line to its end."""
+    if m.end() != len(m.string):
+        _fail(m.string, m.end(), line_no, "end of line")
 
 
 # --- names, terms, atoms ------------------------------------------------
 
-
-def _take_name(sc: _Scanner, default_ns: Optional[str], what: str = "name") -> EntityName:
-    first = sc.take_identifier(what)
-    if sc.try_symbol(":"):
-        return EntityName(first, sc.take_identifier("local name"))
-    if default_ns is None:
-        sc.fail("namespace-qualified name")
-    return EntityName(default_ns, first)
+_NAME = ("name", "name")
+_ATOM_GRAMMAR = (
+    ("name", "class or property name"), ("sym", "("), ("term", "argument"),
+    ("opt", ("sym", ","), ("term", "argument")), ("sym", ")"),
+)
+_ATOM = _Statement(*_ATOM_GRAMMAR)
 
 
-def _take_term(sc: _Scanner, pattern: bool) -> Term:
-    first = sc.take_identifier("argument")
-    if sc.try_symbol(":"):
-        return Individual(EntityName(first, sc.take_identifier("local name")))
+def _name(first: str, local: Optional[str], default_ns: Optional[str]) -> EntityName:
+    return EntityName(default_ns, first) if local is None else EntityName(first, local)
+
+
+def _term(first: str, local: Optional[str], pattern: bool) -> Term:
+    if local is not None:
+        return Individual(EntityName(first, local))
     if pattern and first[0].islower():
         return Variable(first)
     return Individual(EntityName(INSTANCE_NAMESPACE, first))
 
 
-def _take_individual(sc: _Scanner, what: str = "individual") -> EntityName:
-    first = sc.take_identifier(what)
-    if sc.try_symbol(":"):
-        return EntityName(first, sc.take_identifier("local name"))
-    return EntityName(INSTANCE_NAMESPACE, first)
+def _atom(default_ns: Optional[str], pattern: bool, p1, p2, s1, s2, o1, o2) -> Atom:
+    """The atom of one match of ``_ATOM_GRAMMAR``'s six groups."""
+    predicate, subject = _name(p1, p2, default_ns), _term(s1, s2, pattern)
+    if o1 is None:
+        return ClassAtom(predicate, subject)
+    return PropertyAtom(predicate, subject, _term(o1, o2, pattern))
 
 
-def _take_atom(sc: _Scanner, default_ns: Optional[str], pattern: bool) -> Atom:
-    predicate = _take_name(sc, default_ns, "class or property name")
-    sc.take_symbol("(")
-    args = [_take_term(sc, pattern)]
-    while sc.try_symbol(","):
-        args.append(_take_term(sc, pattern))
-        if len(args) > 2:
-            sc.fail("')'")
-    sc.take_symbol(")")
-    if len(args) == 1:
-        return ClassAtom(predicate, args[0])
-    return PropertyAtom(predicate, args[0], args[1])
+def _atoms(span: str, default_ns: Optional[str], pattern: bool) -> list[Atom]:
+    """The atoms of a matched list of atoms."""
+    return [_atom(default_ns, pattern, *m.groups()) for m in _ATOM.patterns[0].finditer(span)]
 
 
 def format_name(name: EntityName) -> str:
@@ -190,91 +241,73 @@ def format_atom(atom: Atom) -> str:
 
 
 def parse_ground_atom(text: str, line: int = 1, default_ns: Optional[str] = None) -> Atom:
-    sc = _Scanner(text, line)
-    atom = _take_atom(sc, default_ns, pattern=False)
-    sc.expect_end()
-    return atom
+    m = _ATOM.match(text, 0, line, default_ns)
+    _expect_end(m, line)
+    return _atom(default_ns, False, *m.groups())
 
 
 # --- ontology documents -------------------------------------------------
 
-_ONTOLOGY_KEYWORDS = (
-    "'namespace'", "'class'", "'property'", "'subclass'", "'disjoint'", "'union'",
-    "'domain'", "'range'", "'allvalues'", "'assert'", "'rule'",
-)
+_ONTOLOGY = {
+    "namespace": _Statement(("id", "namespace identifier")),
+    "class": _Statement(_NAME),
+    "property": _Statement(_NAME),
+    "subclass": _Statement(_NAME, _NAME),
+    "disjoint": _Statement(_NAME, _NAME),
+    "union": _Statement(_NAME, ("sym", "="), ("list", ("sym", "|"), _NAME)),
+    "domain": _Statement(_NAME, _NAME),
+    "range": _Statement(_NAME, _NAME),
+    "allvalues": _Statement(_NAME, _NAME, _NAME),
+    "assert": _Statement(*_ATOM_GRAMMAR, ("opt", ("sym", "@"), ("num", "time", False))),
+    "rule": _Statement(
+        ("id", "rule id"), ("sym", ":"), ("list", ("sym", ","), *_ATOM_GRAMMAR), ("sym", "->"),
+        *_ATOM_GRAMMAR,
+    ),
+}
+_ONTOLOGY_KEYWORDS = tuple(f"'{keyword}'" for keyword in _ONTOLOGY)
+_AXIOMS = dict(subclass=SubClassOf, disjoint=DisjointClasses, domain=PropertyDomain,
+               range=PropertyRange, allvalues=AllValuesFrom)
 
 
 def parse_ontology(text: str) -> KnowledgeBase:
     """Parse an ontology document into a knowledge base."""
     ns: Optional[str] = None
     declared: set[EntityName] = set()
-    referenced: list[tuple[EntityName, int]] = []
+    referenced: dict[EntityName, int] = {}  # each predicate, with the first line using it
     items: list = []
-
-    def declare(*names: EntityName) -> None:
-        declared.update(names)
-
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        sc = _Scanner(raw, line_no)
-        if sc.at_end():
+    for line_no, line in enumerate(text.splitlines(), 1):
+        keyword, pos = _keyword(line, line_no)
+        if keyword is None:
             continue
-        sc._skip_ws()
-        keyword_col = sc.column
-        keyword = sc.take_identifier("statement keyword")
-
-        if keyword == "namespace":
-            ns = sc.take_identifier("namespace identifier")
-        elif keyword in ("class", "property"):
-            declare(_take_name(sc, ns))
-        elif keyword == "subclass":
-            sub, sup = _take_name(sc, ns), _take_name(sc, ns)
-            declare(sub, sup)
-            items.append(SubClassOf(sub, sup))
-        elif keyword == "disjoint":
-            a, b = _take_name(sc, ns), _take_name(sc, ns)
-            declare(a, b)
-            items.append(DisjointClasses(a, b))
-        elif keyword == "union":
-            whole = _take_name(sc, ns)
-            sc.take_symbol("=")
-            parts = [_take_name(sc, ns)]
-            while sc.try_symbol("|"):
-                parts.append(_take_name(sc, ns))
-            declare(whole, *parts)
-            items.append(UnionEquivalence(whole, tuple(parts)))
-        elif keyword in ("domain", "range"):
-            prop, concept = _take_name(sc, ns), _take_name(sc, ns)
-            declare(prop, concept)
-            items.append(
-                PropertyDomain(prop, concept) if keyword == "domain" else PropertyRange(prop, concept)
-            )
-        elif keyword == "allvalues":
-            concept, prop, filler = _take_name(sc, ns), _take_name(sc, ns), _take_name(sc, ns)
-            declare(concept, prop, filler)
-            items.append(AllValuesFrom(concept, prop, filler))
-        elif keyword == "assert":
-            atom = _take_atom(sc, ns, pattern=False)
-            referenced.append((atom.concept if isinstance(atom, ClassAtom) else atom.prop, line_no))
-            at = sc.take_number("time") if sc.try_symbol("@") else 0.0
-            items.append(ABoxAssertion(atom, at))
+        statement = _ONTOLOGY.get(keyword)
+        if statement is None:
+            raise ParseError(line_no, pos - len(keyword) + 1, _ONTOLOGY_KEYWORDS, keyword)
+        m = statement.match(line, pos, line_no, ns)
+        groups = m.groups()
+        if keyword == "assert":
+            atom = _atom(ns, False, *groups[:6])
+            referenced.setdefault(atom_predicate(atom), line_no)
+            items.append(ABoxAssertion(atom, 0.0 if groups[6] is None else float(groups[6])))
+        elif keyword == "namespace":
+            ns = groups[0]
         elif keyword == "rule":
-            rule_id = sc.take_identifier("rule id")
-            sc.take_symbol(":")
-            body = [_take_atom(sc, ns, pattern=True)]
-            while sc.try_symbol(","):
-                body.append(_take_atom(sc, ns, pattern=True))
-            sc.take_symbol("->")
-            head = _take_atom(sc, ns, pattern=True)
+            body, head = _atoms(groups[1], ns, True), _atom(ns, True, *groups[2:])
             for atom in (*body, head):
-                referenced.append(
-                    (atom.concept if isinstance(atom, ClassAtom) else atom.prop, line_no)
-                )
-            items.append(HornRule(rule_id, tuple(body), head))
+                referenced.setdefault(atom_predicate(atom), line_no)
+            items.append(HornRule(groups[0], tuple(body), head))
+        elif keyword == "union":
+            whole = _name(groups[0], groups[1], ns)
+            parts = tuple(_name(*part.groups(), ns) for part in _ONTOLOGY["class"].patterns[0].finditer(groups[2]))
+            declared.update((whole, *parts))
+            items.append(UnionEquivalence(whole, parts))
         else:
-            raise ParseError(line_no, keyword_col, _ONTOLOGY_KEYWORDS, keyword)
-        sc.expect_end()
+            names = [_name(groups[i], groups[i + 1], ns) for i in range(0, len(groups), 2)]
+            declared.update(names)
+            if keyword in _AXIOMS:
+                items.append(_AXIOMS[keyword](*names))
+        _expect_end(m, line_no)
 
-    for name, line_no in referenced:
+    for name, line_no in referenced.items():
         if ns is not None and name.namespace == ns and name not in declared:
             raise UnresolvedNameError(format_name(name), line_no)
     return assert_all(KnowledgeBase.empty(), items)
@@ -291,17 +324,8 @@ def serialize_ontology(kb: KnowledgeBase, namespace: Optional[str] = None) -> st
     line only picks which names count as local for declaration checks.
     """
     predicates: dict[EntityName, str] = {}
-    for atom in kb.abox:
-        predicates.setdefault(
-            atom.concept if isinstance(atom, ClassAtom) else atom.prop,
-            "class" if isinstance(atom, ClassAtom) else "property",
-        )
-    for rule in kb.rbox:
-        for atom in (*rule.body, rule.head):
-            predicates.setdefault(
-                atom.concept if isinstance(atom, ClassAtom) else atom.prop,
-                "class" if isinstance(atom, ClassAtom) else "property",
-            )
+    for atom in (*kb.abox, *(atom for rule in kb.rbox for atom in (*rule.body, rule.head))):
+        predicates.setdefault(atom_predicate(atom), "class" if isinstance(atom, ClassAtom) else "property")
     if namespace is None:
         used = sorted(n.namespace for n in predicates)
         namespace = used[0] if used else "O"
@@ -335,37 +359,28 @@ def serialize_ontology(kb: KnowledgeBase, namespace: Optional[str] = None) -> st
 
 # --- mapping documents ---------------------------------------------------
 
+_PROBABILITY = ("num", "probability", True)
+_MAP = _Statement(
+    ("id", "mapping id"), ("sym", ":"), *_ATOM_GRAMMAR, ("sym", "<-", "←"), *_ATOM_GRAMMAR,
+    ("sym", ";"), ("sym", "P"), ("sym", "("), _PROBABILITY, ("sym", ")"),
+    ("opt", ("sym", ";"), ("sym", "N"), ("sym", "("), _PROBABILITY, ("sym", ")")),
+)
+
 
 def parse_mappings(text: str) -> list[Mapping]:
     """Parse `map id: target <- source ; P(p)` lines (decimal comma accepted)."""
     mappings: list[Mapping] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        sc = _Scanner(raw, line_no)
-        if sc.at_end():
+    for line_no, line in enumerate(text.splitlines(), 1):
+        keyword, pos = _keyword(line, line_no)
+        if keyword is None:
             continue
-        sc._skip_ws()
-        keyword_col = sc.column
-        keyword = sc.take_identifier("statement keyword")
         if keyword != "map":
-            raise ParseError(line_no, keyword_col, ("'map'",), keyword)
-        mapping_id = sc.take_identifier("mapping id")
-        sc.take_symbol(":")
-        target = _take_atom(sc, None, pattern=True)
-        sc.take_symbol("<-", "←")
-        source = _take_atom(sc, None, pattern=True)
-        sc.take_symbol(";")
-        sc.take_symbol("P")
-        sc.take_symbol("(")
-        probability = sc.take_number("probability", decimal_comma=True)
-        sc.take_symbol(")")
-        negative = None
-        if sc.try_symbol(";"):
-            sc.take_symbol("N")
-            sc.take_symbol("(")
-            negative = sc.take_number("probability", decimal_comma=True)
-            sc.take_symbol(")")
-        sc.expect_end()
-        mappings.append(Mapping(mapping_id, target, source, probability, negative))
+            raise ParseError(line_no, pos - len(keyword) + 1, ("'map'",), keyword)
+        m = _MAP.match(line, pos, line_no, None)
+        _expect_end(m, line_no)
+        groups = m.groups()
+        p, n = (None if g is None else float(g.replace(",", ".")) for g in groups[13:])
+        mappings.append(Mapping(groups[0], _atom(None, True, *groups[1:7]), _atom(None, True, *groups[7:13]), p, n))
     return mappings
 
 
@@ -381,101 +396,83 @@ def serialize_mappings(mappings: Sequence[Mapping]) -> str:
 
 # --- fragment documents --------------------------------------------------
 
+_NODE = ("id", "node id")
+_FRAGMENT = {
+    "event": _Statement(_NODE),
+    "action": _Statement(_NODE),
+    "agent": _Statement(_NODE),
+    "values": _Statement(_NODE, ("sym", "="), ("list", ("sym", "|"), ("id", "state token"))),
+    "edge": _Statement(_NODE, ("sym", "->"), _NODE),
+    "instance": _Statement(("id", "action node id"), ("id", "agent node id")),
+    "dist": _Statement(
+        _NODE, ("opt", ("sym", "("), ("list", ("sym", ","), ("id", "parent node id")), ("sym", ")"))
+    ),
+    "row": _Statement(_NODE),
+}
+_FRAGMENT_KEYWORDS = tuple(f"'{keyword}'" for keyword in _FRAGMENT)
+_THEORY = _Statement(("id", "theory name"))
+_MFRAG = _Statement(("id", "fragment name"))
+
+
+@functools.cache
+def _row(parents: int) -> _Statement:
+    """A `row` line after its node id: one state per parent, `:`, the probabilities."""
+    return _Statement(*[("id", "state token")] * parents, ("sym", ":"), ("list", None, ("num", "probability", False)))
+
 
 def parse_fragments(text: str) -> MTheory:
     """Parse a fragment document into a theory (validation is separate)."""
     theory_name = "theory"
-    fragments: list[MFrag] = []
-    current: Optional[dict] = None
-
-    def finish() -> None:
-        nonlocal current
-        if current is None:
-            return
-        fragments.append(
-            MFrag(
-                name=current["name"],
-                events=frozenset(current["events"]),
-                actions=frozenset(current["actions"]),
-                agents=frozenset(current["agents"]),
-                graph=frozenset(current["graph"]),
-                distributions={
-                    node: LocalDistribution(node, parents, dict(rows))
-                    for node, (parents, rows) in current["dists"].items()
-                },
-                action_instance_of=dict(current["instances"]),
-                possible_values=dict(current["values"]),
-            )
-        )
-        current = None
-
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        sc = _Scanner(raw, line_no)
-        if sc.at_end():
+    fragments: list[dict] = []
+    current: Optional[dict] = None  # the fragment being read
+    for line_no, line in enumerate(text.splitlines(), 1):
+        keyword, pos = _keyword(line, line_no)
+        if keyword is None:
             continue
-        sc._skip_ws()
-        keyword_col = sc.column
-        keyword = sc.take_identifier("statement keyword")
+        keyword_col = pos - len(keyword) + 1
         if keyword == "mtheory":
-            theory_name = sc.take_identifier("theory name")
-            sc.expect_end()
+            m = _THEORY.match(line, pos, line_no, None)
+            theory_name = m.group(1)
+            _expect_end(m, line_no)
             continue
         if keyword == "mfrag":
-            finish()
-            current = {
-                "name": sc.take_identifier("fragment name"),
-                "events": [], "actions": [], "agents": [],
-                "graph": [], "dists": {}, "instances": {}, "values": {},
+            m = _MFRAG.match(line, pos, line_no, None)
+            current = {  # MFrag's fields, lists becoming frozensets
+                "name": m.group(1), "events": [], "actions": [], "agents": [], "graph": [],
+                "distributions": {}, "action_instance_of": {}, "possible_values": {},
             }
-            sc.expect_end()
+            fragments.append(current)
+            _expect_end(m, line_no)
             continue
         if current is None:
             raise ParseError(line_no, keyword_col, ("'mtheory'", "'mfrag'"), keyword)
+        statement = _FRAGMENT.get(keyword)
+        if statement is None:
+            raise ParseError(line_no, keyword_col, _FRAGMENT_KEYWORDS, keyword)
+        m = statement.match(line, pos, line_no, None)
+        groups = m.groups()
         if keyword in ("event", "action", "agent"):
-            current[keyword + "s"].append(sc.take_identifier("node id"))
+            current[keyword + "s"].append(groups[0])
         elif keyword == "values":
-            node = sc.take_identifier("node id")
-            sc.take_symbol("=")
-            states = [sc.take_identifier("state token")]
-            while sc.try_symbol("|"):
-                states.append(sc.take_identifier("state token"))
-            current["values"][node] = tuple(states)
+            current["possible_values"][groups[0]] = tuple(_IDENT.findall(groups[1]))
         elif keyword == "edge":
-            src = sc.take_identifier("node id")
-            sc.take_symbol("->")
-            current["graph"].append((src, sc.take_identifier("node id")))
+            current["graph"].append(groups)
         elif keyword == "instance":
-            action = sc.take_identifier("action node id")
-            current["instances"][action] = sc.take_identifier("agent node id")
+            current["action_instance_of"][groups[0]] = groups[1]
         elif keyword == "dist":
-            node = sc.take_identifier("node id")
-            parents: list[str] = []
-            if sc.try_symbol("("):
-                parents.append(sc.take_identifier("parent node id"))
-                while sc.try_symbol(","):
-                    parents.append(sc.take_identifier("parent node id"))
-                sc.take_symbol(")")
-            current["dists"][node] = (tuple(parents), {})
-        elif keyword == "row":
-            node = sc.take_identifier("node id")
-            if node not in current["dists"]:
-                raise ParseError(line_no, keyword_col, ("'dist' line before 'row'",), keyword)
-            parents, rows = current["dists"][node]
-            states = tuple(sc.take_identifier("state token") for _ in parents)
-            sc.take_symbol(":")
-            probs = [sc.take_number("probability")]
-            while not sc.at_end():
-                probs.append(sc.take_number("probability"))
-            rows[states] = tuple(probs)
+            current["distributions"][groups[0]] = LocalDistribution(groups[0], tuple(_IDENT.findall(groups[1] or "")))
         else:
-            raise ParseError(
-                line_no, keyword_col,
-                ("'event'", "'action'", "'agent'", "'values'", "'edge'", "'instance'", "'dist'", "'row'"),
-                keyword,
-            )
-        sc.expect_end()
-    finish()
-    return MTheory(theory_name, tuple(fragments))
+            dist = current["distributions"].get(groups[0])
+            if dist is None:
+                raise ParseError(line_no, keyword_col, ("'dist' line before 'row'",), keyword)
+            m = _row(len(dist.parents)).match(line, m.end(1), line_no, None)
+            *states, probs = m.groups()
+            dist.rows[tuple(states)] = tuple(map(float, _NUMBER.findall(probs)))
+        _expect_end(m, line_no)
+    return MTheory(theory_name, tuple(
+        MFrag(**{key: frozenset(value) if isinstance(value, list) else value for key, value in fragment.items()})
+        for fragment in fragments
+    ))
 
 
 # --- simulation configs ----------------------------------------------------
@@ -486,21 +483,21 @@ _REQUIRED_CONFIG_KEYS = (
 )
 _OPTIONAL_CONFIG_KEYS = ("holding", "lost_penalty", "processing", "measure_position")
 
+_CONFIG = _Statement(("sym", "="))
+
 
 def parse_sim_config(text: str) -> SimConfig:
     """Parse a flat key=value config; cost keys are optional, the rest mandatory."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        sc = _Scanner(raw, line_no)
-        if sc.at_end():
+    for line_no, line in enumerate(text.splitlines(), 1):
+        key, pos = _keyword(line, line_no, "config key")
+        if key is None:
             continue
-        key = sc.take_identifier("config key")
-        sc.take_symbol("=")
-        sc._skip_ws()
-        rest = sc.text[sc.pos:]
-        value = rest.split("#", 1)[0].strip()
+        _CONFIG.match(line, pos, line_no, None)
+        pos = line.index("=", pos) + 1  # after the `=` just matched
+        value = line[pos:].split("#", 1)[0].strip()
         if not value:
-            sc.fail("value")
+            _fail(line, pos, line_no, "value")
         if key in values:
             raise InvalidConfigError(f"line {line_no}: duplicate key {key}")
         if key not in _REQUIRED_CONFIG_KEYS + _OPTIONAL_CONFIG_KEYS:
@@ -546,18 +543,27 @@ def parse_sim_config(text: str) -> SimConfig:
 
 # --- queries and event scripts ---------------------------------------------
 
+_QUERY = _Statement(("list", ("sym", "∧", "&"), *_ATOM_GRAMMAR))
+
 
 def parse_query(text: str, default_ns: Optional[str] = None) -> list[Atom]:
-    """Parse a conjunctive query: atoms joined by `∧` or `&`."""
-    sc = _Scanner(text.strip(), 1)
-    conjuncts = [_take_atom(sc, default_ns, pattern=True)]
-    while sc.try_symbol("∧", "&"):
-        conjuncts.append(_take_atom(sc, default_ns, pattern=True))
-    sc.expect_end()
-    return conjuncts
+    """Parse a conjunctive query: atoms joined by `∧` or `&`; columns count from the start of ``text``."""
+    text = text.rstrip()
+    m = _QUERY.match(text, len(text) - len(text.lstrip()), 1, default_ns)
+    _expect_end(m, 1)
+    return _atoms(m.group(1), default_ns, True)
 
 
 Event = Union[ABoxAssertion, ActionRecord]
+
+_AT = _Statement(("num", "time", False), ("id", "'assert' or 'action'"))
+_EVENTS = {
+    "assert": _Statement(*_ATOM_GRAMMAR),
+    "action": _Statement(
+        ("id", "action id"), ("name", "action kind"), ("word", "by"), ("term", "actor name"),
+        ("opt", ("word", "target"), ("id", "ontology id"), ("id", "ontology id")),
+    ),
+}
 
 
 def parse_events(text: str) -> list[Event]:
@@ -568,36 +574,28 @@ def parse_events(text: str) -> list[Event]:
     """
     ns: Optional[str] = None
     events: list[Event] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        sc = _Scanner(raw, line_no)
-        if sc.at_end():
+    for line_no, line in enumerate(text.splitlines(), 1):
+        keyword, pos = _keyword(line, line_no)
+        if keyword is None:
             continue
-        sc._skip_ws()
-        keyword_col = sc.column
-        keyword = sc.take_identifier("statement keyword")
         if keyword == "namespace":
-            ns = sc.take_identifier("namespace identifier")
-            sc.expect_end()
-            continue
-        if keyword != "at":
-            raise ParseError(line_no, keyword_col, ("'at'", "'namespace'"), keyword)
-        at = sc.take_number("time")
-        what = sc.take_identifier("'assert' or 'action'")
-        if what == "assert":
-            atom = _take_atom(sc, ns, pattern=False)
-            events.append(ABoxAssertion(atom, at))
-        elif what == "action":
-            action_id = sc.take_identifier("action id")
-            kind = _take_name(sc, ns, "action kind")
-            sc.take_symbol("by")
-            actor = _take_individual(sc, "actor name")
-            targets: tuple[str, ...] = ()
-            if sc.try_symbol("target"):
-                targets = (sc.take_identifier("ontology id"), sc.take_identifier("ontology id"))
-            events.append(ActionRecord(at, action_id, kind, actor, targets))
+            m = _ONTOLOGY["namespace"].match(line, pos, line_no, ns)
+            ns = m.group(1)
+        elif keyword != "at":
+            raise ParseError(line_no, pos - len(keyword) + 1, ("'at'", "'namespace'"), keyword)
         else:
-            raise ParseError(line_no, sc.column - len(what), ("'assert'", "'action'"), what)
-        sc.expect_end()
+            head = _AT.match(line, pos, line_no, ns)
+            at, what = float(head.group(1)), head.group(2)
+            if what not in _EVENTS:
+                raise ParseError(line_no, head.start(2) + 1, ("'assert'", "'action'"), what)
+            m = _EVENTS[what].match(line, head.end(2), line_no, ns)
+            groups = m.groups()
+            if what == "assert":
+                events.append(ABoxAssertion(_atom(ns, False, *groups), at))
+            else:
+                kind, actor = _name(*groups[1:3], ns), _name(*groups[3:5], INSTANCE_NAMESPACE)
+                events.append(ActionRecord(at, groups[0], kind, actor, () if groups[5] is None else groups[5:7]))
+        _expect_end(m, line_no)
     return events
 
 

@@ -263,6 +263,25 @@ def test_monitor_runs_are_byte_identical(capsys, fixture_path, tmp_path) -> None
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_repeated_calls_in_one_process_see_only_their_own_arguments(capsys, fixture_path) -> None:
+    monitor = ["monitor", str(fixture_path("monitor_base.onto")), str(fixture_path("monitor_script.evt")),
+               "--ticks", "50"]
+    both = [*monitor, "--close", "up:Event", "--close", "up:Agent"]
+    first = run_cli(capsys, *both)
+    merged = run_cli(capsys, "merge-query", str(fixture_path("travel_local.onto")),
+                     str(fixture_path("travel_external.onto")), str(fixture_path("travel.map")), TRAVEL_QUERY)
+    validated = run_cli(capsys, "validate", str(fixture_path("frags_valid.mth")))
+    one = run_cli(capsys, *monitor, "--close", "up:Event")
+    again = run_cli(capsys, *both)
+    assert first[0] == 0 and again == first
+    assert one[0] == 0 and one[1] != first[1]
+    assert merged[:2] == (0, "x=Trip p=1.000000000\n")
+    assert validated[0] == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser().parse_args(both).close == ["up:Event", "up:Agent"]
+    assert cli._build_parser().parse_args(monitor).close is None
+
+
 def test_monitor_default_tick_count_covers_script(capsys, fixture_path) -> None:
     code, out, _ = run_cli(
         capsys,

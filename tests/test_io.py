@@ -2,11 +2,13 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontoflux import io
 from ontoflux.errors import (
     InvalidConfigError,
     MalformedItemError,
@@ -99,7 +101,7 @@ def test_forward_references_allowed() -> None:
 def test_unclosed_paren_position() -> None:
     # Without a namespace in scope, the only valid continuation after
     # `assert Event` is a qualifying colon, so the paren's column is the
-    # first byte at which no valid statement can continue.
+    # first character at which no valid statement can continue.
     with pytest.raises(ParseError) as err:
         parse_ontology("assert Event(x")
     assert (err.value.line, err.value.column) == (1, 13)
@@ -112,6 +114,13 @@ def test_unclosed_paren_at_end_of_line() -> None:
     assert (err.value.line, err.value.column) == (2, 15)
     assert err.value.expected == ("')'",)
     assert "end of line" in str(err.value)
+
+
+def test_three_argument_atom_fails_at_the_second_comma() -> None:
+    with pytest.raises(ParseError) as err:
+        parse_ontology("namespace O\nproperty O:r\nassert O:r(a, b, c)\n")
+    assert (err.value.line, err.value.column) == (3, 16)
+    assert (err.value.expected, err.value.found) == (("')'",), ",")
 
 
 def test_unknown_keyword_position() -> None:
@@ -354,6 +363,12 @@ def test_query_default_namespace() -> None:
     assert atom == ClassAtom(name("O1", "Event"), Variable("x"))
 
 
+def test_query_columns_count_from_the_text_as_given() -> None:
+    with pytest.raises(ParseError) as err:
+        parse_query("   L:A(x")
+    assert (err.value.column, err.value.expected, err.value.found) == (9, ("')'",), "")
+
+
 def test_parse_events_shapes() -> None:
     events = parse_events(
         "namespace up\n"
@@ -375,6 +390,20 @@ def test_parse_events_shapes() -> None:
 def test_parse_events_rejects_an_infinite_time(line) -> None:
     with pytest.raises(MalformedItemError):
         parse_events(line + "\n")
+
+
+@pytest.mark.parametrize(
+    "line, word, expected",
+    [
+        ("at 1 action a1 O:K byalice", "byalice", ("'by'",)),
+        ("at 1 action a1 O:K by alice targetx y", "targetx", ("end of line",)),
+        ("at 1 action a1 O:K by alice targets x y", "targets", ("end of line",)),
+    ],
+)
+def test_parse_events_keywords_are_whole_words(line, word, expected) -> None:
+    with pytest.raises(ParseError) as err:
+        parse_events(line + "\n")
+    assert (err.value.column, err.value.expected, err.value.found) == (line.index(word) + 1, expected, word)
 
 
 def test_parse_events_bad_verb() -> None:
@@ -441,3 +470,13 @@ def test_record_echoes_config(fixture_text) -> None:
     assert isinstance(record["measure_position"], bool)
     stats = run_simulation(parse_sim_config(fixture_text("exo_small.cfg")))
     assert record["fill_rate"] == float(fmt9(stats.fill_rate))
+
+
+def test_statement_patterns_compile_on_python_3_10() -> None:
+    # Possessive quantifiers and atomic groups are new in Python 3.11's `re`.
+    statements = [v for v in vars(io).values() if isinstance(v, io._Statement)]
+    statements += [v for table in (io._ONTOLOGY, io._FRAGMENT, io._EVENTS) for v in table.values()]
+    sources = [p.pattern for s in (*statements, io._row(2)) for p in s.patterns]
+    sources += [p.pattern for p in vars(io).values() if isinstance(p, re.Pattern)]
+    for source in sources:
+        assert not re.search(r"[*+?}]\+|\(\?>", source), source
