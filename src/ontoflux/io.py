@@ -509,6 +509,11 @@ def parse_sim_config(text: str) -> SimConfig:
         raise InvalidConfigError("missing config keys: " + ", ".join(missing))
 
     def number(key: str, integral: bool = False) -> float:
+        if integral:
+            try:
+                return int(values[key])  # exact beyond 2**53, where the float route rounds
+            except ValueError:
+                pass  # forms like 2.0 or 1e3 take the float route
         try:
             value = float(values[key])
         except ValueError:

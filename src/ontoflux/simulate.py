@@ -26,8 +26,10 @@ process does not depend on the lead distribution or the regime.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -102,6 +104,8 @@ class SimConfig:
             raise InvalidConfigError("horizon must be positive")
         if self.warmup < 0 or self.warmup >= self.horizon:
             raise InvalidConfigError("warmup must satisfy 0 <= warmup < horizon")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,14 @@ class _Order:
 
 
 class Simulation:
-    """One seeded run; exposes the order history for invariant checks."""
+    """One seeded run; exposes the order history for invariant checks.
+
+    The history is kept as columns indexed by order ``seq``:
+    ``placed_at``, ``drawn_at``, ``drawn_lead`` and ``effective_delivery``
+    (NaN until an exogenous order's review draws its lead), plus
+    ``delivered``, the ``seq`` of each delivery in delivery order.  The
+    ``orders`` and ``completed`` records are built from these when read.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -199,11 +210,29 @@ class Simulation:
         self.lead_rng = np.random.default_rng(lead_seed)
         self.on_hand = config.base_stock
         self.on_order = 0
-        self.orders: list[_Order] = []
-        self.completed: list[UpdateOrder] = []
+        self.placed_at: list[float] = []
+        self.drawn_at: list[float] = []
+        self.drawn_lead: list[float] = []
+        self.effective_delivery: list[float] = []
+        self.delivered: list[int] = []
         self.noncrossing_violations = 0
         self.lost = 0
         self.served = 0
+
+    @property
+    def orders(self) -> list[_Order]:
+        """Every placed order, in ``seq`` order."""
+        return list(map(_Order, range(len(self.placed_at)), self.placed_at, self.drawn_at,
+                        self.drawn_lead, self.effective_delivery))
+
+    @property
+    def completed(self) -> list[UpdateOrder]:
+        """Every delivered order, in delivery order."""
+        return [
+            UpdateOrder(seq, self.placed_at[seq], self.drawn_lead[seq], self.effective_delivery[seq],
+                        self.drawn_at[seq])
+            for seq in self.delivered
+        ]
 
     def run(self) -> SimStats:
         """Merge the next demand, the next review (exo only) and a heap of
@@ -216,12 +245,13 @@ class Simulation:
         iid = cfg.regime is Regime.EXOGENOUS_IID
         gaps = _stream(lambda: sample_poisson_interarrival(cfg.demand_rate, self.demand_rng, _BLOCK))
         leads = _stream(lambda: sample_gamma(cfg.lead, self.lead_rng, _BLOCK))
-        orders, completed = self.orders, self.completed
+        placed_at, drawn_at, drawn_lead = self.placed_at, self.drawn_at, self.drawn_lead
+        effective_delivery, delivered = self.effective_delivery, self.delivered
         on_hand, on_order, served, lost = self.on_hand, self.on_order, self.served, self.lost
         violations, completions_in_window, lost_in_window = self.noncrossing_violations, 0, 0
         area_on_hand = area_position = 0.0
         heap: list[tuple[float, int]] = []
-        dormant: list[_Order] = []
+        dormant: list[int] = []
         last = last_delivery = server_free_at = 0.0
         t_demand = next(gaps) if cfg.demand_rate > 0 else math.inf
         t_review = cfg.review_period if exo else math.inf
@@ -239,24 +269,26 @@ class Simulation:
                 break
             last = now
             if now == t_review:
-                for order in dormant:
+                for seq in dormant:
                     drawn = next(leads)
                     effective, _ = adjust_exogenous(last_delivery, now, drawn)
                     if effective < last_delivery:
                         violations += 1
                     else:
                         last_delivery = effective
-                    order.drawn_at, order.drawn_lead, order.effective_delivery = now, drawn, effective
-                    heapq.heappush(heap, (effective, order.seq))
+                    drawn_at[seq], drawn_lead[seq], effective_delivery[seq] = now, drawn, effective
+                    heapq.heappush(heap, (effective, seq))
                 dormant.clear()
                 t_review = now + cfg.review_period
             elif now == t_delivery:
-                order = orders[heapq.heappop(heap)[1]]
+                seq = heapq.heappop(heap)[1]
+                if now < placed_at[seq]:
+                    raise InvalidConfigError(
+                        f"order {seq}: delivery {now} precedes placement {placed_at[seq]}"
+                    )
                 on_hand += 1
                 on_order -= 1
-                completed.append(UpdateOrder(
-                    order.seq, order.placed_at, order.drawn_lead, order.effective_delivery, order.drawn_at
-                ))
+                delivered.append(seq)
                 if now >= warmup:
                     completions_in_window += 1
             else:
@@ -264,10 +296,13 @@ class Simulation:
                     on_hand -= 1
                     on_order += 1
                     served += 1
-                    seq = len(orders)
+                    seq = len(placed_at)
+                    placed_at.append(now)
                     if exo:
-                        order = _Order(seq, now)
-                        dormant.append(order)
+                        drawn_at.append(math.nan)
+                        drawn_lead.append(math.nan)
+                        effective_delivery.append(math.nan)
+                        dormant.append(seq)
                     else:
                         drawn = next(leads)
                         if iid:
@@ -279,9 +314,10 @@ class Simulation:
                                 violations += 1
                             else:
                                 last_delivery = effective
-                        order = _Order(seq, now, now, drawn, effective)
+                        drawn_at.append(now)
+                        drawn_lead.append(drawn)
+                        effective_delivery.append(effective)
                         heapq.heappush(heap, (effective, seq))
-                    orders.append(order)
                 else:
                     lost += 1
                     if now >= warmup:
@@ -295,7 +331,8 @@ class Simulation:
         """Post-warmup statistics from the run's areas and in-window counts."""
         cfg = self.config
         elapsed = cfg.horizon - cfg.warmup
-        served = sum(1 for o in self.orders if o.placed_at >= cfg.warmup)
+        # placements happen in time order, so the in-window ones are a suffix
+        served = len(self.placed_at) - bisect.bisect_left(self.placed_at, cfg.warmup)
         total = served + lost
         fill_rate = served / total if total else 1.0
         area = area_position if cfg.measure_position else area_on_hand
@@ -305,9 +342,8 @@ class Simulation:
             + cfg.costs.lost_penalty * lost
             + cfg.costs.processing * completions
         ) / elapsed
-        leads = np.array(
-            [o.effective_delivery - o.placed_at for o in self.completed if o.placed_at >= cfg.warmup]
-        )
+        placed, effective = self.placed_at, self.effective_delivery
+        leads = np.array([effective[s] - placed[s] for s in self.delivered if placed[s] >= cfg.warmup])
         mean = float(leads.mean()) if leads.size else 0.0
         var = float(leads.var(ddof=1)) if leads.size > 1 else 0.0
         return SimStats(

@@ -182,8 +182,23 @@ def step_proposition(
     change afterwards, whatever the log says.
     """
     _check_sorted(log)
-    if prop.terminal:
-        return prop
+    return prop if prop.terminal else _advance(prop, log, now)
+
+
+def step_all(
+    props: Sequence[TemporalProposition], log: Sequence[ActionRecord], now: float
+) -> list[TemporalProposition]:
+    """``step_proposition`` over ``props``, checking the log's order once.
+
+    As with the per-proposition calls, an empty ``props`` checks nothing.
+    """
+    if props:
+        _check_sorted(log)
+    return [p if p.terminal else _advance(p, log, now) for p in props]
+
+
+def _advance(prop: TemporalProposition, log: Sequence[ActionRecord], now: float) -> TemporalProposition:
+    """One step of a pending proposition against a log already checked for order."""
     matched = any(
         record.at <= now and prop.window.contains(record.at) and prop.pattern.matches(record)
         for record in log
@@ -195,9 +210,3 @@ def step_proposition(
     else:
         return prop
     return dataclasses.replace(prop, state=state)
-
-
-def step_all(
-    props: Sequence[TemporalProposition], log: Sequence[ActionRecord], now: float
-) -> list[TemporalProposition]:
-    return [step_proposition(p, log, now) for p in props]

@@ -193,6 +193,18 @@ def test_non_finite_horizon_is_exit_1_without_simulating(
     assert "key horizon: not a finite number" in err
 
 
+# argparse reads a separate "-2..0" as an option, so the range is attached with "="
+@pytest.mark.parametrize("command", [("simulate", "--seed", "-1"), ("sweep", "--seeds=-2..0")])
+def test_negative_seed_is_exit_1_without_simulating(capsys, fixture_path, monkeypatch, command) -> None:
+    def refuse(config):
+        raise AssertionError(f"seed = {config.seed} reached the simulator")
+
+    monkeypatch.setattr(cli, "run_simulation", refuse)
+    code, out, err = run_cli(capsys, command[0], "--config", str(fixture_path("exo_small.cfg")), *command[1:])
+    assert code == 1 and out == ""
+    assert "seed must be a nonnegative integer" in err
+
+
 # --- sweep -----------------------------------------------------------------------
 
 

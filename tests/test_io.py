@@ -339,6 +339,19 @@ def test_config_accepts_integral_values_written_as_decimals(fixture_text) -> Non
     assert type(config.base_stock) is int and type(config.seed) is int
 
 
+def test_config_reads_integer_keys_exactly(fixture_text) -> None:
+    # 2**53 + 1 has no float; the float route would read the seed of another run
+    text = fixture_text("exo_small.cfg").replace("seed = 7", "seed = 9007199254740993")
+    config = parse_sim_config(text.replace("base_stock = 4", "base_stock = +4"))
+    assert (config.seed, config.base_stock) == (9007199254740993, 4)
+
+
+@pytest.mark.parametrize("value", ["-3", "-3.0"])
+def test_config_rejects_negative_seed(fixture_text, value) -> None:
+    with pytest.raises(InvalidConfigError, match="seed must be a nonnegative integer"):
+        parse_sim_config(fixture_text("exo_small.cfg").replace("seed = 7", f"seed = {value}"))
+
+
 def test_config_measure_position_flag(fixture_text) -> None:
     text = fixture_text("exo_small.cfg") + "measure_position = true\n"
     assert parse_sim_config(text).measure_position is True

@@ -59,6 +59,12 @@ def test_parameter_validation():
         sample_poisson_interarrival(0.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("seed", [-3, -1, 1.5, 2.0])
+def test_negative_or_non_integer_seed_is_rejected(seed):
+    with pytest.raises(InvalidConfigError, match="seed must be a nonnegative integer"):
+        config(seed=seed)
+
+
 def test_gamma_params_expose_moments():
     params = GammaParams(mu=2.0, r=4.0)
     assert params.mean == 2.0
@@ -288,3 +294,47 @@ def test_event_merge_equals_the_reference_heap_loop(cfg, on_grid):
     assert [_bits(o) for o in sim.completed] == [_bits(o) for o in ref.completed]
     for name in ("noncrossing_violations", "served", "lost", "on_hand", "on_order"):
         assert getattr(sim, name) == getattr(ref, name), name
+
+
+def test_run_builds_no_order_record():
+    built = {"UpdateOrder": 0, "_Order": 0}
+
+    def counting(name, method):
+        def count(self, *args, **kwargs):
+            built[name] += 1
+            return method(self, *args, **kwargs)
+        return count
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            simulate.UpdateOrder, "__post_init__", counting("UpdateOrder", simulate.UpdateOrder.__post_init__)
+        ))
+        stack.enter_context(mock.patch.object(
+            simulate._Order, "__init__", counting("_Order", simulate._Order.__init__)
+        ))
+        for regime in Regime:
+            sim = Simulation(config(regime=regime))
+            sim.run()
+            assert built == {"UpdateOrder": 0, "_Order": 0}, regime
+        # the records are built when read
+        assert len(sim.orders) == built["_Order"] > 0
+        assert len(sim.completed) == built["UpdateOrder"] > 0
+
+
+def test_delivery_before_placement_is_rejected():
+    negative = lambda params, rng, size=None: np.full(size, -1.0)
+    with mock.patch.object(simulate, "sample_gamma", negative):
+        with pytest.raises(
+            InvalidConfigError,
+            match=r"^order 0: delivery 2\.365309689476561 precedes placement 3\.365309689476561$",
+        ):
+            Simulation(config(regime=Regime.EXOGENOUS_IID)).run()
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_order_history_reads_the_same_twice(regime):
+    sim = Simulation(config(regime=regime))
+    sim.run()
+    assert sim.orders and sim.completed
+    assert [_bits(o) for o in sim.orders] == [_bits(o) for o in sim.orders]
+    assert sim.completed == sim.completed

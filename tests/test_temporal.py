@@ -1,8 +1,9 @@
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontoflux.errors import MalformedItemError, MissingAxiomError, UnsortedLogError
@@ -158,6 +159,49 @@ def logs(draw):
         ActionRecord(t, f"a{i}", kind, EntityName("i", "Bot"))
         for i, (t, kind) in enumerate(zip(times, kinds))
     ]
+
+
+@st.composite
+def propositions(draw):
+    return TemporalProposition(
+        f"p{draw(st.integers(0, 9))}",
+        draw(st.sampled_from(Polarity)),
+        ActionPattern(draw(st.sampled_from([MERGE, OTHER]))),
+        draw(windows()),
+        draw(st.sampled_from(PropState)),
+    )
+
+
+def _outcome(step):
+    """What ``step()`` returns, or the message of the ``UnsortedLogError`` it raises."""
+    try:
+        return step()
+    except UnsortedLogError as exc:
+        return str(exc)
+
+
+SETTLED = [dataclasses.replace(obligation(0.0, 1.0), state=state) for state in (PropState.FULFILLED, PropState.VIOLATED)]
+UNSORTED = [record(5.0), record(1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(propositions(), max_size=4),
+    logs() | st.lists(quarter, max_size=5).map(lambda times: [record(t) for t in times]),
+    quarter,
+)
+@example([], UNSORTED, 6.0)
+@example(SETTLED, UNSORTED, 6.0)
+@example(SETTLED, [record(1.0)], 6.0)
+def test_step_all_equals_stepping_each_proposition(props, log, now):
+    # each result is paired with whether it is the proposition passed in
+    def each():
+        return [(q, q is p) for p, q in ((p, step_proposition(p, log, now)) for p in props)]
+
+    def together():
+        return [(q, q is p) for p, q in zip(props, step_all(props, log, now))]
+
+    assert _outcome(together) == _outcome(each)
 
 
 @settings(max_examples=300, deadline=None)
