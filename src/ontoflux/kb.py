@@ -11,17 +11,20 @@ One engine, ``fixpoint``, computes it, both here and for the merged
 fact set in ``merging``.  It indexes the one-premise T-Box axioms by
 concept and property, runs semi-naive rounds (each round fires only on
 the atoms that are new or changed in the previous one) and joins rule
-bodies through a per-predicate fact index.  Each atom carries an
+bodies through two fact indexes: one per predicate, and one per
+property, argument position and individual, through which a body atom
+with one argument bound reads only the facts that have it there.  Both
+grow from each round's delta.  Each atom carries an
 annotation that the caller defines: ``saturate`` uses plain membership,
 ``merging`` the atom's minimal derivation paths.  The engine can also
 continue an earlier result in place: given an already-closed atom set,
-its index and new seeds, only the seeds that add to it start the
+its indexes and new seeds, only the seeds that add to it start the
 rounds.  Computing from scratch is continuing from nothing.
 
 The saturation is memoized on the knowledge base itself.  The memo
 holds the fixpoint's state, not just its atoms: the derived atoms, their
-per-predicate index and the members of each concept, all three extended
-from each round's delta.  ``saturate`` hands out a read-only set view of
+two indexes and the members of each concept, all extended from each
+round's delta.  ``saturate`` hands out a read-only set view of
 it; ``entailed_members``, ``is_member``, ``close_class`` and the
 constraint checks read the member sets and the index, so none of them
 rescans the saturation, and a closure record is a view of a member
@@ -183,7 +186,9 @@ def atom_terms(atom: Atom) -> tuple[Term, ...]:
 
 
 def is_ground(atom: Atom) -> bool:
-    return all(isinstance(t, Individual) for t in atom_terms(atom))
+    if not isinstance(atom.subject, Individual):
+        return False
+    return isinstance(atom, ClassAtom) or isinstance(atom.object, Individual)
 
 
 # --- T-Box axiom forms -------------------------------------------------
@@ -256,7 +261,7 @@ class ABoxAssertion:
     def __post_init__(self):
         if not is_ground(self.atom):
             raise MalformedItemError(f"A-Box atom must be ground: {self.atom}")
-        if not math.isfinite(self.asserted_at) or self.asserted_at < 0:
+        if not 0 <= self.asserted_at < math.inf:  # false for NaN too
             raise MalformedItemError(
                 f"asserted_at must be finite and nonnegative, got {self.asserted_at}"
             )
@@ -382,6 +387,9 @@ def atom_predicate(atom: Atom) -> EntityName:
 
 
 FactIndex = dict[EntityName, set[Atom]]  # predicate -> ground atoms
+# (property, argument position, individual) -> the ground property atoms
+# with that individual there; a class atom with a bound argument is ground
+ArgIndex = dict[tuple[EntityName, int, Individual], set[Atom]]
 
 
 def index_facts(facts: Iterable[Atom]) -> FactIndex:
@@ -389,6 +397,19 @@ def index_facts(facts: Iterable[Atom]) -> FactIndex:
     for atom in facts:
         index.setdefault(atom_predicate(atom), set()).add(atom)
     return index
+
+
+def index_args(facts: Iterable[Atom]) -> ArgIndex:
+    args: ArgIndex = {}
+    for atom in facts:
+        _index_arguments(atom, args)
+    return args
+
+
+def _index_arguments(atom: Atom, args: ArgIndex) -> None:
+    if isinstance(atom, PropertyAtom):
+        args.setdefault((atom.prop, 0, atom.subject), set()).add(atom)
+        args.setdefault((atom.prop, 1, atom.object), set()).add(atom)
 
 
 def substitute(atom: Atom, binding: dict) -> Atom:
@@ -419,10 +440,15 @@ def _unify(pattern: Atom, fact: Atom, binding: dict) -> dict | None:
     return out
 
 
-def _join(plan: list[tuple[Atom, FactIndex, FactIndex]]) -> list[dict]:
-    """Bindings matching each pattern to a fact of its index outside its skip index."""
+def _join(plan: list[tuple[Atom, FactIndex, ArgIndex | None, FactIndex]]) -> list[dict]:
+    """Bindings matching each pattern to a fact of its index outside its skip index.
+
+    A pattern that a binding leaves with one argument bound is matched
+    against the facts with that argument only, if its index has an
+    argument index.
+    """
     bindings = [{}]
-    for pattern, index, skip in plan:
+    for pattern, index, args, skip in plan:
         pred = atom_predicate(pattern)
         facts = index.get(pred)
         if not facts:
@@ -435,7 +461,13 @@ def _join(plan: list[tuple[Atom, FactIndex, FactIndex]]) -> list[dict]:
                 if bound in facts and bound not in excluded:
                     extended.append(binding)
                 continue
-            for fact in facts:
+            candidates = facts
+            if args is not None and isinstance(bound, PropertyAtom):
+                if isinstance(bound.subject, Individual):
+                    candidates = args.get((pred, 0, bound.subject), ())
+                elif isinstance(bound.object, Individual):
+                    candidates = args.get((pred, 1, bound.object), ())
+            for fact in candidates:
                 if fact not in excluded:
                     out = _unify(bound, fact, binding)
                     if out is not None:
@@ -447,7 +479,10 @@ def _join(plan: list[tuple[Atom, FactIndex, FactIndex]]) -> list[dict]:
 
 
 def match_body(
-    body: tuple[Atom, ...], index: FactIndex, delta: FactIndex | None = None
+    body: tuple[Atom, ...],
+    index: FactIndex,
+    delta: FactIndex | None = None,
+    args: ArgIndex | None = None,
 ) -> list[dict]:
     """All variable bindings under which every body atom matches an indexed fact.
 
@@ -455,13 +490,15 @@ def match_body(
     ``index``) only the bindings that use a delta fact, each once: the
     first body position that uses one matches ``delta`` and is joined
     first, the positions before it match facts outside ``delta``.
+    ``args``, the argument index of the facts in ``index``, lets a body
+    atom with a bound argument read only the facts that have it.
     """
     if delta is None:
-        return _join([(pattern, index, {}) for pattern in body])
+        return _join([(pattern, index, args, {}) for pattern in body])
     out = []
     for i, pattern in enumerate(body):
-        plan = [(pattern, delta, {})]
-        plan += [(p, index, delta if j < i else {}) for j, p in enumerate(body) if j != i]
+        plan = [(pattern, delta, None, {})]
+        plan += [(p, index, args, delta if j < i else {}) for j, p in enumerate(body) if j != i]
         out.extend(_join(plan))
     return out
 
@@ -498,8 +535,8 @@ def fixpoint(
     seeds: dict[Atom, Annotation],
     conjoin: Callable[[list[Annotation]], Annotation],
     disjoin: Callable[[Annotation, Annotation], Annotation],
-    closed: tuple[dict[Atom, Annotation], FactIndex] | None = None,
-) -> tuple[dict[Atom, Annotation], FactIndex, set[Atom]]:
+    closed: tuple[dict[Atom, Annotation], FactIndex, ArgIndex] | None = None,
+) -> tuple[dict[Atom, Annotation], FactIndex, ArgIndex, set[Atom]]:
     """Least fixpoint of the T-Box and R-Box over annotated ground atoms.
 
     ``seeds`` maps each given atom to its annotation.  A one-premise
@@ -508,22 +545,22 @@ def fixpoint(
     annotations of one atom combine by ``disjoin``.  Rounds are
     semi-naive: each fires the axioms and rules only on the atoms
     whose annotation is new or changed in the previous round, joining
-    rule bodies through a per-predicate index.  Terminates when
-    annotations form a finite lattice, as sets of atoms and of
-    mapping-id paths over a finite KB do.
+    rule bodies through a per-predicate and a per-argument index.
+    Terminates when annotations form a finite lattice, as sets of atoms
+    and of mapping-id paths over a finite KB do.
 
-    Returns the annotated atoms, their index and the atoms whose
+    Returns the annotated atoms, their two indexes and the atoms whose
     annotation is new or changed.  ``closed``, if given, is the atoms
-    and index of a result of this function for the same T-Box, R-Box
-    and annotations; the rounds extend both in place, and only the
+    and indexes of a result of this function for the same T-Box, R-Box
+    and annotations; the rounds extend all three in place, and only the
     seeds whose annotation they lack or change enter the first delta.
     The annotations form a semiring and the fixpoint does not depend
     on evaluation order, so continuing equals computing from scratch.
     """
     heads = _tbox_heads(tbox)
     rules = list(rbox)
-    facts, index = ({}, {}) if closed is None else closed
-    delta = _absorb(facts, seeds, disjoin, index)
+    facts, index, args = ({}, {}, {}) if closed is None else closed
+    delta = _absorb(facts, seeds, disjoin, index, args)
     changed: set[Atom] = set()
     while delta:
         fresh: dict[Atom, Annotation] = {}
@@ -538,17 +575,17 @@ def fixpoint(
                 for head in heads(atom):
                     emit(head, facts[atom])
         for rule in rules:
-            for binding in match_body(rule.body, index, delta):
+            for binding in match_body(rule.body, index, delta, args):
                 emit(
                     substitute(rule.head, binding),
                     conjoin([facts[substitute(b, binding)] for b in rule.body]),
                 )
-        delta = _absorb(facts, fresh, disjoin, index)
-    return facts, index, changed
+        delta = _absorb(facts, fresh, disjoin, index, args)
+    return facts, index, args, changed
 
 
-def _absorb(facts: dict, fresh: dict, disjoin: Callable, index: FactIndex) -> FactIndex:
-    """Add ``fresh`` to ``facts`` and ``index``; the index of the atoms new or changed."""
+def _absorb(facts: dict, fresh: dict, disjoin: Callable, index: FactIndex, args: ArgIndex) -> FactIndex:
+    """Add ``fresh`` to ``facts`` and both indexes; the index of the atoms new or changed."""
     delta: FactIndex = {}
     for atom, annotation in fresh.items():
         prior = facts.get(atom)
@@ -559,6 +596,8 @@ def _absorb(facts: dict, fresh: dict, disjoin: Callable, index: FactIndex) -> Fa
         facts[atom] = annotation
         pred = atom_predicate(atom)
         index.setdefault(pred, set()).add(atom)
+        if prior is None:
+            _index_arguments(atom, args)
         delta.setdefault(pred, set()).add(atom)
     return delta
 
@@ -572,13 +611,15 @@ _NONE: frozenset = frozenset()
 
 class _Closure:
     """A saturation that grows in place: its atoms in the order derived,
-    their per-predicate index and the individuals entailed in each concept."""
+    their per-predicate and per-argument indexes and the individuals
+    entailed in each concept."""
 
-    __slots__ = ("facts", "index", "members")
+    __slots__ = ("facts", "index", "args", "members")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self.facts: dict[Atom, bool] = dict.fromkeys(atoms, True)
         self.index = index_facts(self.facts)
+        self.args = index_args(self.facts)
         self.members: dict[EntityName, dict[EntityName, int]] = {}  # concept -> member -> ordinal
         self.add_members(self.facts)
 
@@ -666,8 +707,9 @@ class _Memo:
                 chunks.append(link[0])
                 link = link[1]
             seeds = [atom for atoms in reversed(chunks) for atom in atoms]
-        _, _, new = fixpoint(
-            kb.tbox, kb.rbox, dict.fromkeys(seeds, True), _holds, _holds, (closure.facts, closure.index)
+        *_, new = fixpoint(
+            kb.tbox, kb.rbox, dict.fromkeys(seeds, True), _holds, _holds,
+            (closure.facts, closure.index, closure.args),
         )
         closure.add_members(new)
         self.closure, self.size, self.base, self.added = closure, len(closure.facts), None, None

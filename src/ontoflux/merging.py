@@ -7,7 +7,7 @@ applies every mapping to every asserted external ground fact, then
 chains the resulting local atoms through the local T-Box and R-Box with
 the knowledge base's semi-naive engine (``kb.fixpoint``).  A merge may
 name an earlier merge as its ``parent``: when only the local A-Box grew
-since, it takes the parent's fixpoint (path sets and index) over,
+since, it takes the parent's fixpoint (path sets and indexes) over,
 continues it with the new local facts as seeds, keeps the parent's
 facts whose paths did not change and sorts only the new atoms into the
 parent's order.
@@ -22,9 +22,14 @@ gives a stored fact its probability (one path set) and a conjunctive
 query answer its (one path set per conjunct, all of which must hold):
 it splits the formula into parts that share no mapping, and expands
 what stays connected on its most frequent mapping, memoized on the
-residual formula (Shannon expansion; Dalvi & Suciu, VLDB 2004).  A
-formula that needs more than ``SCORING_BUDGET`` expansions raises
-``LineageTooLargeError``; no score is ever approximated.
+residual formula (Shannon expansion; Dalvi & Suciu, VLDB 2004); a
+branch in which some clause has no path left is 0 and not expanded.
+A stored fact is scored when its probability is first read, not by
+``merge``, so a merge pays only for the scores its caller reads, as
+probabilistic databases and ProbLog evaluate lineage only for the
+atoms asked about.  A formula that needs more than ``SCORING_BUDGET``
+expansions raises ``LineageTooLargeError``; no score is ever
+approximated.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -43,6 +48,7 @@ from .errors import (
     UnsafeQueryError,
 )
 from .kb import (
+    ArgIndex,
     Atom,
     EntityName,
     FactIndex,
@@ -51,6 +57,7 @@ from .kb import (
     atom_predicate,
     atom_terms,
     fixpoint,
+    index_args,
     index_facts,
     is_ground,
     match_body,
@@ -101,13 +108,49 @@ class Mapping:
             )
 
 
-@dataclass(frozen=True)
 class DerivedFact:
-    """A ground local atom with its derivation paths and combined probability."""
+    """A ground local atom with its derivation paths and their probability.
 
-    atom: Atom
-    probability: float
-    paths: PathSet
+    The fact holds the mapping probabilities of the merge that made it,
+    and scores ``probability`` from them and its paths when it is first
+    read, then keeps the value, so a merge scores only the facts that
+    are read.  Otherwise ``probability`` acts as a field: equality,
+    hashing and ``repr`` read it, and a pickled or copied fact carries
+    the mapping probabilities along and scores the same value.  Facts
+    are immutable.
+    """
+
+    __slots__ = ("atom", "paths", "_prob_of", "_probability")
+
+    def __init__(self, atom: Atom, paths: PathSet, prob_of: dict[str, float]):
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "_prob_of", prob_of)
+        object.__setattr__(self, "_probability", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def probability(self) -> float:
+        """Exact probability that one of the paths holds; may raise ``LineageTooLargeError``."""
+        if self._probability is None:
+            object.__setattr__(self, "_probability", fact_probability(self.paths, self._prob_of))
+        return self._probability
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DerivedFact:
+            return NotImplemented
+        return self.atom == other.atom and self.paths == other.paths and self.probability == other.probability
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.probability, self.paths))
+
+    def __repr__(self) -> str:
+        return f"DerivedFact(atom={self.atom!r}, probability={self.probability!r}, paths={self.paths!r})"
+
+    def __reduce__(self):
+        return DerivedFact, (self.atom, self.paths, self._prob_of)
 
     @property
     def local(self) -> bool:
@@ -119,22 +162,23 @@ class DerivedFact:
 
 class _FixpointState:
     """A merge's fixpoint, for a later merge to continue: each derived
-    atom's paths, their index and the derived atoms' ``str`` in order.
+    atom's paths, their predicate and argument indexes and the derived
+    atoms' ``str`` in order.
 
     The first merge that continues it takes it over and extends it in
     place; ``taken`` then tells every merge that held it to rebuild it
     from its own facts.
     """
 
-    __slots__ = ("paths", "index", "keys", "taken")
+    __slots__ = ("paths", "index", "args", "keys", "taken")
 
-    def __init__(self, paths: dict[Atom, PathSet], index: FactIndex, keys: list[str]):
-        self.paths, self.index, self.keys, self.taken = paths, index, keys, False
+    def __init__(self, paths: dict[Atom, PathSet], index: FactIndex, args: ArgIndex, keys: list[str]):
+        self.paths, self.index, self.args, self.keys, self.taken = paths, index, args, keys, False
 
     @staticmethod
     def of(derived: dict[Atom, DerivedFact]) -> "_FixpointState":
         paths = {atom: fact.paths for atom, fact in derived.items()}
-        return _FixpointState(paths, index_facts(paths), [str(atom) for atom in derived])
+        return _FixpointState(paths, index_facts(paths), index_args(paths), [str(atom) for atom in derived])
 
 
 @dataclass(frozen=True)
@@ -264,7 +308,10 @@ def _score(clauses: Iterable[PathSet], prob_of: dict[str, float], memo: Optional
         held.append(_canonical(rest.union(path - {pivot} for path in with_pivot)) if with_pivot else paths)
         failed.append(rest)
     p = prob_of[pivot]
-    memo[clauses] = result = p * _score(held, prob_of, memo) + (1.0 - p) * _score(failed, prob_of, memo)
+    result = p * _score(held, prob_of, memo)
+    if all(failed):  # else a clause has no path without ``pivot``: the failed branch scores 0
+        result += (1.0 - p) * _score(failed, prob_of, memo)
+    memo[clauses] = result
     return result
 
 
@@ -305,6 +352,9 @@ def merge(
     Mappings consume the external A-Box as asserted; chaining afterwards
     uses only the local T-Box and R-Box.  Multiple derivations of one
     atom keep all (minimal) paths, and its probability is theirs, exactly.
+    No fact is scored here: each is scored when its ``probability`` is
+    first read, which is where a lineage too large to score exactly
+    raises ``LineageTooLargeError``.
 
     ``parent`` is an earlier merge to continue.  If it merged the same
     external KB, mappings, T-Box and R-Box, and a subset of the local
@@ -336,21 +386,21 @@ def merge(
                 mapped = substitute(m.target, binding)
                 if is_ground(mapped):
                     seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
-        paths, index, _ = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin)
+        paths, index, args, _ = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin)
         keyed = sorted((str(atom), atom) for atom in paths)  # str(atom) is unique
-        derived = {atom: DerivedFact(atom, fact_probability(paths[atom], prob_of), paths[atom])
-                   for _, atom in keyed}
-        state = _FixpointState(paths, index, [key for key, _ in keyed])
+        derived = {atom: DerivedFact(atom, paths[atom], prob_of) for _, atom in keyed}
+        state = _FixpointState(paths, index, args, [key for key, _ in keyed])
         return MergedKB(local, external, mappings, derived, state)
 
     state = parent._state
     if state is None or state.taken:
         state = _FixpointState.of(parent.derived)
     state.taken = True
-    paths, index, changed = fixpoint(
-        local.tbox, local.rbox, dict.fromkeys(added, LOCAL), _conjoin, _disjoin, (state.paths, state.index)
+    paths, index, args, changed = fixpoint(
+        local.tbox, local.rbox, dict.fromkeys(added, LOCAL), _conjoin, _disjoin,
+        (state.paths, state.index, state.args),
     )
-    facts = {atom: DerivedFact(atom, fact_probability(paths[atom], prob_of), paths[atom]) for atom in changed}
+    facts = {atom: DerivedFact(atom, paths[atom], prob_of) for atom in changed}
     new = sorted((str(atom), atom) for atom in changed if atom not in parent.derived)
     keys = state.keys
     if new and keys and new[0][0] < keys[-1]:  # new atoms go between old ones: rebuild the order
@@ -366,7 +416,7 @@ def merge(
         derived = dict(parent.derived)
         derived.update((atom, facts[atom]) for _, atom in new)
     derived.update(facts)  # the facts whose paths changed keep their place
-    return MergedKB(local, external, mappings, derived, _FixpointState(paths, index, keys))
+    return MergedKB(local, external, mappings, derived, _FixpointState(paths, index, args, keys))
 
 
 @dataclass(frozen=True)

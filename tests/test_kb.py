@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontoflux
-from helpers import random_assertion, random_kb, reference_saturate
+import ontoflux.kb as kb_module
+from helpers import match_rule_body, random_assertion, random_kb, reference_saturate
 from ontoflux.errors import MalformedItemError
 from ontoflux.kb import (
     ABoxAssertion,
@@ -39,7 +40,9 @@ from ontoflux.kb import (
     check_disjointness,
     close_class,
     entailed_members,
+    index_args,
     index_facts,
+    is_ground,
     is_member,
     match_body,
     saturate,
@@ -299,6 +302,27 @@ def test_assertion_time_must_be_finite_and_nonnegative(when):
         ABoxAssertion(ClassAtom(EVENT, ind("late")), when)
 
 
+@pytest.mark.parametrize("subject", [ind("trip"), Variable("x")])
+@pytest.mark.parametrize("obj", [None, ind("sea"), Variable("y")])
+def test_only_a_ground_atom_is_asserted(subject, obj):
+    atom = ClassAtom(EVENT, subject) if obj is None else PropertyAtom(ABOUT, subject, obj)
+    ground = all(isinstance(t, Individual) for t in atom_terms(atom))
+    assert is_ground(atom) is ground
+    if ground:
+        assert ABoxAssertion(atom).atom == atom
+    else:
+        with pytest.raises(MalformedItemError) as error:
+            ABoxAssertion(atom)
+        assert str(error.value) == f"A-Box atom must be ground: {atom}"
+
+
+@pytest.mark.parametrize("when", [-1, -0.5, math.nan, math.inf])
+def test_a_rejected_assertion_time_is_named_in_the_error(when):
+    with pytest.raises(MalformedItemError) as error:
+        ABoxAssertion(ClassAtom(EVENT, ind("late")), when)
+    assert str(error.value) == f"asserted_at must be finite and nonnegative, got {when}"
+
+
 # --- indexed rule join and the per-KB memo --------------------------------
 
 
@@ -354,6 +378,69 @@ def test_join_fires_when_only_the_last_conjunct_is_new():
         + [ABoxAssertion(ClassAtom(n("C"), ind("b")))],
     )
     assert ClassAtom(n("H"), ind("a")) in saturate(kb)
+
+
+def unify_calls_per_new_atom(unrelated: int, monkeypatch) -> float:
+    """``_unify`` calls of a continued saturation, per new ``A`` atom, beside
+    ``unrelated`` ``rel`` facts whose subjects are never in ``A``."""
+    rule = HornRule("r", (ClassAtom(n("A"), X), PropertyAtom(n("rel"), X, Y)), ClassAtom(n("Q"), X))
+    facts = [PropertyAtom(n("rel"), ind(f"u{i}"), ind(f"w{i}")) for i in range(unrelated)]
+    facts += [PropertyAtom(n("rel"), ind(f"a{i}"), ind(f"b{i}")) for i in range(20)]
+    kb = assert_all(KnowledgeBase.empty(), [rule] + [ABoxAssertion(a) for a in facts])
+    saturate(kb)
+    calls = []
+    unify = kb_module._unify
+    monkeypatch.setattr(kb_module, "_unify", lambda *args: calls.append(1) or unify(*args))
+    grown = assert_all(kb, [ABoxAssertion(ClassAtom(n("A"), ind(f"a{i}"))) for i in range(20)])
+    assert {ClassAtom(n("Q"), ind(f"a{i}")) for i in range(20)} <= saturate(grown)
+    return len(calls) / 20
+
+
+def test_a_join_on_a_bound_argument_reads_only_the_facts_with_it(monkeypatch):
+    assert unify_calls_per_new_atom(10, monkeypatch) == unify_calls_per_new_atom(1_000, monkeypatch)
+
+
+def random_body(rng: random.Random, kb: KnowledgeBase) -> tuple:
+    """A rule body over ``kb``'s predicates, with shared variables and constants."""
+    atoms = list(kb.abox)
+    individuals = sorted({t for a in atoms for t in atom_terms(a)}) or [ind("x0")]
+    terms = [Variable("v0"), Variable("v1"), Variable("v2")]
+
+    def term():
+        return rng.choice(individuals) if rng.random() < 0.2 else rng.choice(terms)
+
+    body = []
+    for _ in range(rng.randint(1, 3)):
+        like = rng.choice(atoms) if atoms else ClassAtom(n("C"), ind("x0"))
+        if isinstance(like, ClassAtom):
+            body.append(ClassAtom(like.concept, term()))
+        else:
+            body.append(PropertyAtom(like.prop, term(), term()))
+    return tuple(body)
+
+
+def binding_list(bindings) -> list:
+    return sorted(sorted((v.token, str(i)) for v, i in b.items()) for b in bindings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_indexed_joins_give_the_bindings_of_a_plain_scan(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_size=12)
+    facts = list(saturate(kb))
+    body = random_body(rng, kb)
+    index, args = index_facts(facts), index_args(facts)
+    want = binding_list(match_rule_body(body, facts))
+    assert binding_list(match_body(body, index)) == want
+    assert binding_list(match_body(body, index, args=args)) == want
+    # with a delta: the bindings that use a delta fact, once each
+    delta = [a for a in facts if rng.random() < 0.4]
+    old = [a for a in facts if a not in delta]
+    got = binding_list(match_body(body, index, index_facts(delta), args))
+    assert got == binding_list(match_body(body, index, index_facts(delta)))
+    stale = binding_list(match_rule_body(body, old))
+    assert got == [b for b in want if b not in stale]
 
 
 def test_memoized_saturation_follows_assertions_and_closures():

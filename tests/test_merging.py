@@ -1,5 +1,7 @@
+import copy
 import inspect
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontoflux
+from ontoflux import cli, merging
+from ontoflux.io import serialize_mappings, serialize_ontology
 from helpers import random_kb, world_atom_probabilities, world_scores, world_support
 from ontoflux.errors import (
     LineageTooLargeError,
@@ -216,6 +220,122 @@ def test_lineage_nested_past_the_interpreter_stack_raises_a_typed_error():
             fact_probability(chain, dict.fromkeys(set().union(*chain), 0.5))
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.fixture
+def score_calls(monkeypatch) -> list:
+    """The ``_score`` calls made while the test runs, recursive ones included."""
+    calls = []
+    score = merging._score
+    monkeypatch.setattr(merging, "_score", lambda *args: calls.append(args) or score(*args))
+    return calls
+
+
+def test_a_clause_that_needs_the_pivot_skips_the_failed_branch(score_calls):
+    # both paths need m1, so the clause fails without it: three calls (the
+    # outermost, its expansion on m1 and the branch {m2} or {m3} where m1
+    # holds) and none for the branch where m1 fails, which scores 0
+    paths = frozenset({frozenset({"m1", "m2"}), frozenset({"m1", "m3"})})
+    assert fact_probability(paths, dict.fromkeys(["m1", "m2", "m3"], 0.5)) == 0.375
+    assert len(score_calls) == 3
+
+
+def lineage_scenario(clauses: list[list[frozenset]], prob_of: dict[str, float]):
+    """A merge whose fact ``L:A{k}(t)`` has clause ``k`` as its paths: a rule
+    per mapped path, a local assertion for the empty path."""
+    items = []
+    for k, clause in enumerate(clauses):
+        head = ClassAtom(local_name(f"A{k}"), X)
+        for i, path in enumerate(clause):
+            if path:
+                body = tuple(ClassAtom(local_name(f"M{m}"), X) for m in sorted(path))
+                items.append(HornRule(f"r{k}_{i}", body, head))
+            else:
+                items.append(ABoxAssertion(ClassAtom(local_name(f"A{k}"), ind("t"))))
+    external = kb_of(ABoxAssertion(ClassAtom(ext_name("D"), ind("t"))))
+    mappings = [class_mapping(m, f"M{m}", "D", p) for m, p in sorted(prob_of.items())]
+    return kb_of(*items), external, mappings
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_scores_equal_possible_worlds_over_random_lineages(seed):
+    rng = random.Random(seed)
+    prob_of = {f"m{j}": rng.choice([0.0, 0.25, 0.5, 0.7, 1.0, rng.random()]) for j in range(rng.randint(1, 5))}
+    ids = sorted(prob_of)
+
+    def path() -> frozenset:
+        return frozenset(rng.sample(ids, rng.randint(0 if rng.random() < 0.1 else 1, min(3, len(ids)))))
+
+    clauses = [[path() for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))]
+    local, external, mappings = lineage_scenario(clauses, prob_of)
+    conjuncts = [ClassAtom(local_name(f"A{k}"), X) for k in range(len(clauses))]
+    want = world_scores(local, external, mappings, conjuncts).get((("x", EntityName("i", "t")),), 0.0)
+    got = merging._score([frozenset(clause) for clause in clauses], prob_of)
+    assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), (clauses, prob_of)
+    answers = query(merge(local, external, mappings), conjuncts)
+    assert math.isclose(answers[0].probability if answers else 0.0, want, rel_tol=0.0, abs_tol=1e-12)
+
+
+def test_merge_scores_no_fact_until_one_is_read(score_calls):
+    clauses = [[frozenset({"m1", "m2"}), frozenset({"m1", "m3"})], [frozenset({"m2"})]]
+    prob_of = {"m1": 0.5, "m2": 0.6, "m3": 0.7}
+    local, external, mappings = lineage_scenario(clauses, prob_of)
+    merged = merge(local, external, mappings)
+    grown = assert_item(local, ABoxAssertion(ClassAtom(local_name("M3"), ind("u"))))
+    merge(grown, external, mappings, parent=merged)
+    assert score_calls == []
+
+    want = world_atom_probabilities(local, external, mappings)
+    fact = merged.fact(ClassAtom(local_name("A0"), ind("t")))
+    first = fact.probability
+    assert score_calls
+    assert math.isclose(first, want[fact.atom], rel_tol=0.0, abs_tol=1e-12)
+    assert first == fact_probability(fact.paths, prob_of)
+    read = len(score_calls)
+    assert fact.probability == first
+    assert len(score_calls) == read  # the second read is kept, not scored again
+    for atom, f in merged.derived.items():
+        assert math.isclose(f.probability, want[atom], rel_tol=0.0, abs_tol=1e-12)
+
+
+def test_pickled_and_copied_merges_read_the_same_probabilities():
+    local, external, mappings = lineage_scenario(
+        [[frozenset({"m1", "m2"}), frozenset({"m1", "m3"})], [frozenset(), frozenset({"m3"})]],
+        {"m1": 0.3, "m2": 0.6, "m3": 0.9},
+    )
+    unread = merge(local, external, mappings)
+    read = merge(local, external, mappings)
+    want = [(a, f.paths, f.probability) for a, f in read.derived.items()]
+    for merged in (unread, read):
+        for copied in (pickle.loads(pickle.dumps(merged)), copy.deepcopy(merged), copy.copy(merged)):
+            assert [(a, f.paths, f.probability) for a, f in copied.derived.items()] == want
+            assert copied == merged
+    fact = next(iter(unread.derived.values()))
+    with pytest.raises(AttributeError):
+        fact.probability = 0.0
+
+
+def test_an_oversize_stored_lineage_raises_when_its_probability_is_read(monkeypatch, tmp_path, capsys):
+    # no expansion is allowed, so D(t), whose two paths share m1, is oversize;
+    # C(t) has one path and needs none
+    monkeypatch.setattr(merging, "SCORING_BUDGET", 0)
+    local, external, mappings = lineage_scenario(
+        [[frozenset({"m1", "m2"}), frozenset({"m1", "m3"})], [frozenset({"m2"})]],
+        {"m1": 0.5, "m2": 0.6, "m3": 0.7},
+    )
+    merged = merge(local, external, mappings)
+    assert merged.fact(ClassAtom(local_name("A1"), ind("t"))).probability == 0.6
+    with pytest.raises(LineageTooLargeError):
+        merged.fact(ClassAtom(local_name("A0"), ind("t"))).probability
+
+    files = [tmp_path / name for name in ("local.onto", "external.onto", "mappings.map")]
+    files[0].write_text(serialize_ontology(local), encoding="utf-8")
+    files[1].write_text(serialize_ontology(external), encoding="utf-8")
+    files[2].write_text(serialize_mappings(mappings), encoding="utf-8")
+    assert cli.main(["merge-query", *map(str, files), "L:A1(x)"]) == 0
+    assert capsys.readouterr().out == "x=t p=0.600000000\n"
+    assert cli.main(["merge-query", *map(str, files), "L:A0(x)"]) == 1
 
 
 def test_shared_mapping_across_conjuncts_scores_exactly():
