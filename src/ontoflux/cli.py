@@ -104,7 +104,9 @@ def _cmd_merge_query(args: argparse.Namespace) -> int:
     local = textio.parse_ontology(Path(args.local).read_text(encoding="utf-8"))
     external = textio.parse_ontology(Path(args.external).read_text(encoding="utf-8"))
     mappings = textio.parse_mappings(Path(args.mappings).read_text(encoding="utf-8"))
-    accepted = [m for m in mappings if m.probability >= args.threshold]
+    # the monitor's policy rejects NaN and values outside [0, 1]
+    threshold = monitor_mod.MergePolicy(args.threshold).acceptance_threshold
+    accepted = [m for m in mappings if m.probability >= threshold]  # in input order
     merged = merge(local, external, accepted)
     conjuncts = textio.parse_query(args.query)
     lines = []

@@ -8,7 +8,9 @@ continuation of a valid statement exists, plus the token kinds that
 would have been acceptable there.  Each statement kind is one grammar,
 compiled to a regular expression that reads a valid line in one match;
 a line it rejects is walked token by token over the same grammar to
-find that position.
+find that position.  A parse call builds each distinct name and
+individual of its document once, from a table that lives as long as
+the call.
 
 Name resolution: a document may declare `namespace NS`; unqualified
 names resolve against it, qualified names (`O2:Event`) stand alone.
@@ -201,29 +203,45 @@ _ATOM_GRAMMAR = (
 _ATOM = _Statement(*_ATOM_GRAMMAR)
 
 
-def _name(first: str, local: Optional[str], default_ns: Optional[str]) -> EntityName:
-    return EntityName(default_ns, first) if local is None else EntityName(first, local)
+class _Values:
+    """The names and individuals of one parse call, each built once from the text it was read from.
 
+    A table lives as long as its parse call, so no value is shared
+    between two calls.
+    """
 
-def _term(first: str, local: Optional[str], pattern: bool) -> Term:
-    if local is not None:
-        return Individual(EntityName(first, local))
-    if pattern and first[0].islower():
-        return Variable(first)
-    return Individual(EntityName(INSTANCE_NAMESPACE, first))
+    __slots__ = ("names", "individuals")
 
+    def __init__(self):
+        self.names: dict[tuple[str, str], EntityName] = {}  # by namespace and local token
+        self.individuals: dict[EntityName, Individual] = {}
 
-def _atom(default_ns: Optional[str], pattern: bool, p1, p2, s1, s2, o1, o2) -> Atom:
-    """The atom of one match of ``_ATOM_GRAMMAR``'s six groups."""
-    predicate, subject = _name(p1, p2, default_ns), _term(s1, s2, pattern)
-    if o1 is None:
-        return ClassAtom(predicate, subject)
-    return PropertyAtom(predicate, subject, _term(o1, o2, pattern))
+    def name(self, first: str, local: Optional[str], default_ns: Optional[str]) -> EntityName:
+        key = (default_ns, first) if local is None else (first, local)
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = EntityName(*key)
+        return name
 
+    def term(self, first: str, local: Optional[str], pattern: bool) -> Term:
+        if local is None and pattern and first[0].islower():
+            return Variable(first)
+        name = self.name(first, local, INSTANCE_NAMESPACE)
+        individual = self.individuals.get(name)
+        if individual is None:
+            individual = self.individuals[name] = Individual(name)
+        return individual
 
-def _atoms(span: str, default_ns: Optional[str], pattern: bool) -> list[Atom]:
-    """The atoms of a matched list of atoms."""
-    return [_atom(default_ns, pattern, *m.groups()) for m in _ATOM.patterns[0].finditer(span)]
+    def atom(self, default_ns: Optional[str], pattern: bool, p1, p2, s1, s2, o1, o2) -> Atom:
+        """The atom of one match of ``_ATOM_GRAMMAR``'s six groups."""
+        predicate, subject = self.name(p1, p2, default_ns), self.term(s1, s2, pattern)
+        if o1 is None:
+            return ClassAtom(predicate, subject)
+        return PropertyAtom(predicate, subject, self.term(o1, o2, pattern))
+
+    def atoms(self, span: str, default_ns: Optional[str], pattern: bool) -> list[Atom]:
+        """The atoms of a matched list of atoms."""
+        return [self.atom(default_ns, pattern, *m.groups()) for m in _ATOM.patterns[0].finditer(span)]
 
 
 def format_name(name: EntityName) -> str:
@@ -243,7 +261,7 @@ def format_atom(atom: Atom) -> str:
 def parse_ground_atom(text: str, line: int = 1, default_ns: Optional[str] = None) -> Atom:
     m = _ATOM.match(text, 0, line, default_ns)
     _expect_end(m, line)
-    return _atom(default_ns, False, *m.groups())
+    return _Values().atom(default_ns, False, *m.groups())
 
 
 # --- ontology documents -------------------------------------------------
@@ -275,6 +293,7 @@ def parse_ontology(text: str) -> KnowledgeBase:
     declared: set[EntityName] = set()
     referenced: dict[EntityName, int] = {}  # each predicate, with the first line using it
     items: list = []
+    values = _Values()
     for line_no, line in enumerate(text.splitlines(), 1):
         keyword, pos = _keyword(line, line_no)
         if keyword is None:
@@ -285,23 +304,23 @@ def parse_ontology(text: str) -> KnowledgeBase:
         m = statement.match(line, pos, line_no, ns)
         groups = m.groups()
         if keyword == "assert":
-            atom = _atom(ns, False, *groups[:6])
+            atom = values.atom(ns, False, *groups[:6])
             referenced.setdefault(atom_predicate(atom), line_no)
             items.append(ABoxAssertion(atom, 0.0 if groups[6] is None else float(groups[6])))
         elif keyword == "namespace":
             ns = groups[0]
         elif keyword == "rule":
-            body, head = _atoms(groups[1], ns, True), _atom(ns, True, *groups[2:])
+            body, head = values.atoms(groups[1], ns, True), values.atom(ns, True, *groups[2:])
             for atom in (*body, head):
                 referenced.setdefault(atom_predicate(atom), line_no)
             items.append(HornRule(groups[0], tuple(body), head))
         elif keyword == "union":
-            whole = _name(groups[0], groups[1], ns)
-            parts = tuple(_name(*part.groups(), ns) for part in _ONTOLOGY["class"].patterns[0].finditer(groups[2]))
+            whole = values.name(groups[0], groups[1], ns)
+            parts = tuple(values.name(*part.groups(), ns) for part in _ONTOLOGY["class"].patterns[0].finditer(groups[2]))
             declared.update((whole, *parts))
             items.append(UnionEquivalence(whole, parts))
         else:
-            names = [_name(groups[i], groups[i + 1], ns) for i in range(0, len(groups), 2)]
+            names = [values.name(groups[i], groups[i + 1], ns) for i in range(0, len(groups), 2)]
             declared.update(names)
             if keyword in _AXIOMS:
                 items.append(_AXIOMS[keyword](*names))
@@ -370,6 +389,7 @@ _MAP = _Statement(
 def parse_mappings(text: str) -> list[Mapping]:
     """Parse `map id: target <- source ; P(p)` lines (decimal comma accepted)."""
     mappings: list[Mapping] = []
+    values = _Values()
     for line_no, line in enumerate(text.splitlines(), 1):
         keyword, pos = _keyword(line, line_no)
         if keyword is None:
@@ -380,7 +400,8 @@ def parse_mappings(text: str) -> list[Mapping]:
         _expect_end(m, line_no)
         groups = m.groups()
         p, n = (None if g is None else float(g.replace(",", ".")) for g in groups[13:])
-        mappings.append(Mapping(groups[0], _atom(None, True, *groups[1:7]), _atom(None, True, *groups[7:13]), p, n))
+        target, source = values.atom(None, True, *groups[1:7]), values.atom(None, True, *groups[7:13])
+        mappings.append(Mapping(groups[0], target, source, p, n))
     return mappings
 
 
@@ -556,7 +577,7 @@ def parse_query(text: str, default_ns: Optional[str] = None) -> list[Atom]:
     text = text.rstrip()
     m = _QUERY.match(text, len(text) - len(text.lstrip()), 1, default_ns)
     _expect_end(m, 1)
-    return _atoms(m.group(1), default_ns, True)
+    return _Values().atoms(m.group(1), default_ns, True)
 
 
 Event = Union[ABoxAssertion, ActionRecord]
@@ -579,6 +600,7 @@ def parse_events(text: str) -> list[Event]:
     """
     ns: Optional[str] = None
     events: list[Event] = []
+    values = _Values()
     for line_no, line in enumerate(text.splitlines(), 1):
         keyword, pos = _keyword(line, line_no)
         if keyword is None:
@@ -596,9 +618,9 @@ def parse_events(text: str) -> list[Event]:
             m = _EVENTS[what].match(line, head.end(2), line_no, ns)
             groups = m.groups()
             if what == "assert":
-                events.append(ABoxAssertion(_atom(ns, False, *groups), at))
+                events.append(ABoxAssertion(values.atom(ns, False, *groups), at))
             else:
-                kind, actor = _name(*groups[1:3], ns), _name(*groups[3:5], INSTANCE_NAMESPACE)
+                kind, actor = values.name(*groups[1:3], ns), values.name(*groups[3:5], INSTANCE_NAMESPACE)
                 events.append(ActionRecord(at, groups[0], kind, actor, () if groups[5] is None else groups[5:7]))
         _expect_end(m, line_no)
     return events

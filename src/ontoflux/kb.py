@@ -10,11 +10,15 @@ individuals.  That fragment is decidable and the fixpoint is finite.
 One engine, ``fixpoint``, computes it, both here and for the merged
 fact set in ``merging``.  It indexes the one-premise T-Box axioms by
 concept and property, runs semi-naive rounds (each round fires only on
-the atoms that are new or changed in the previous one) and joins rule
-bodies through two fact indexes: one per predicate, and one per
-property, argument position and individual, through which a body atom
-with one argument bound reads only the facts that have it there.  Both
-grow from each round's delta.  Each atom carries an
+the atoms that are new or changed in the previous one) and matches rule
+bodies through compiled join plans (``Plan``).  A plan is compiled once
+per rule and delta position: its steps work on rows of numbered slots,
+each step choosing from what is bound when it is compiled a membership
+test, a read of one argument through the index by property, argument
+position and individual, or a read of the per-predicate fact index.
+Both indexes grow from each round's delta.  A firing reads its
+premises' annotations from the facts its row matched and builds its
+head from the slots.  Each atom carries an
 annotation that the caller defines: ``saturate`` uses plain membership,
 ``merging`` the atom's minimal derivation paths.  The engine can also
 continue an earlier result in place: given an already-closed atom set,
@@ -37,9 +41,10 @@ over, extending it in place.  The older KB still answers for its own
 atoms, a prefix of the state it gave away, and copies that prefix out
 if it is asked again.  A T-Box or R-Box assertion starts a fresh memo.
 
-Names, terms and atoms hash once, at construction, since every dict
-and set the engine keeps hashes them.  Pickling and copying rebuild
-them from their fields, so a cached hash never crosses a process.
+Names, terms, atoms and assertions hash once, at construction, since
+every dict and set the engine keeps hashes them; their constructors are
+written out, not generated.  Pickling and copying rebuild them from
+their fields, so a cached hash never crosses a process.
 
 Queries are three-valued.  Membership that can be derived is True;
 membership in a class whose extension has been explicitly closed is
@@ -60,10 +65,11 @@ import math
 import re
 import weakref
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from functools import total_ordering
 from itertools import islice
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import MalformedItemError
 
@@ -72,69 +78,107 @@ _LOCAL_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 Annotation = TypeVar("Annotation")  # what the fixpoint attaches to each atom
 
 
-class _HashedOnce:
-    """A name, term or atom: it hashes its value once, at construction.
+@total_ordering
+class _Value:
+    """A name, term, atom or assertion: immutable, and hashed once, at construction.
 
-    Every dict and set of atoms hashes them, so each class keeps its hash
-    in a ``_hash`` slot, which takes no part in equality, order or
-    ``repr``.  String hashes differ between processes, so pickling and
-    copying rebuild the value from its fields instead of carrying the
-    slot over.
+    Every dict and set the engine keeps hashes them, so each value keeps
+    its hash in the ``_hash`` slot.  Its fields, named by
+    ``__match_args__``, give equality, order and ``repr`` as a frozen
+    dataclass's would; equality compares the hashes first, and the
+    values the engine compares most write it out field by field.
+    String hashes differ between processes, so pickling and copying
+    rebuild the value from its fields instead of carrying the hash over.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
-
-@dataclass(frozen=True, order=True, slots=True)
-class EntityName(_HashedOnce):
-    """A namespaced name, e.g. ``O1:Event``."""
-
-    namespace: str
-    local: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.namespace:
-            raise MalformedItemError("entity namespace must be nonempty")
-        if not _LOCAL_TOKEN.match(self.local):
-            raise MalformedItemError(f"bad local token: {self.local!r}")
-        object.__setattr__(self, "_hash", hash((self.namespace, self.local)))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other):
+        return self._fields() < other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+_set = object.__setattr__  # how a value's own ``__init__`` fills its slots
+
+
+class EntityName(_Value):
+    """A namespaced name, e.g. ``O1:Event``."""
+
+    __slots__ = __match_args__ = ("namespace", "local")
+
+    def __init__(self, namespace: str, local: str):
+        if not namespace:
+            raise MalformedItemError("entity namespace must be nonempty")
+        if not _LOCAL_TOKEN.match(local):
+            raise MalformedItemError(f"bad local token: {local!r}")
+        _set(self, "namespace", namespace)
+        _set(self, "local", local)
+        _set(self, "_hash", hash((namespace, local)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.local == other.local and self.namespace == other.namespace
+
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return f"{self.namespace}:{self.local}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Individual(_HashedOnce):
-    name: EntityName
-    _hash: int = field(init=False, repr=False, compare=False)
+class Individual(_Value):
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", self.name._hash)
+    def __init__(self, name: EntityName):
+        _set(self, "name", name)
+        _set(self, "_hash", name._hash)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name is other.name or (self._hash == other._hash and self.name == other.name)
+
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return str(self.name)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Variable(_HashedOnce):
-    token: str
-    _hash: int = field(init=False, repr=False, compare=False)
+class Variable(_Value):
+    __slots__ = __match_args__ = ("token",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.token))
+    def __init__(self, token: str):
+        _set(self, "token", token)
+        _set(self, "_hash", hash(token))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        return self.token == other.token if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return self.token
@@ -143,34 +187,45 @@ class Variable(_HashedOnce):
 Term = Union[Individual, Variable]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ClassAtom(_HashedOnce):
-    concept: EntityName
-    subject: Term
-    _hash: int = field(init=False, repr=False, compare=False)
+class ClassAtom(_Value):
+    __slots__ = __match_args__ = ("concept", "subject")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.concept._hash, self.subject._hash)))
+    def __init__(self, concept: EntityName, subject: Term):
+        _set(self, "concept", concept)
+        _set(self, "subject", subject)
+        _set(self, "_hash", hash((concept._hash, subject._hash)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash
+                and (self.subject is other.subject or self.subject == other.subject)
+                and (self.concept is other.concept or self.concept == other.concept))
+
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return f"{self.concept}({self.subject})"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class PropertyAtom(_HashedOnce):
-    prop: EntityName
-    subject: Term
-    object: Term
-    _hash: int = field(init=False, repr=False, compare=False)
+class PropertyAtom(_Value):
+    __slots__ = __match_args__ = ("prop", "subject", "object")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.prop._hash, self.subject._hash, self.object._hash)))
+    def __init__(self, prop: EntityName, subject: Term, object: Term):
+        _set(self, "prop", prop)
+        _set(self, "subject", subject)
+        _set(self, "object", object)
+        _set(self, "_hash", hash((prop._hash, subject._hash, object._hash)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash
+                and (self.subject is other.subject or self.subject == other.subject)
+                and (self.object is other.object or self.object == other.object)
+                and (self.prop is other.prop or self.prop == other.prop))
+
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return f"{self.prop}({self.subject}, {self.object})"
@@ -251,20 +306,19 @@ _TBOX_TYPES = (SubClassOf, DisjointClasses, UnionEquivalence, PropertyDomain, Pr
 # --- A-Box / R-Box -----------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ABoxAssertion:
+class ABoxAssertion(_Value):
     """A ground atom stamped with the time it was asserted."""
 
-    atom: Atom
-    asserted_at: float = 0.0
+    __slots__ = __match_args__ = ("atom", "asserted_at")
 
-    def __post_init__(self):
-        if not is_ground(self.atom):
-            raise MalformedItemError(f"A-Box atom must be ground: {self.atom}")
-        if not 0 <= self.asserted_at < math.inf:  # false for NaN too
-            raise MalformedItemError(
-                f"asserted_at must be finite and nonnegative, got {self.asserted_at}"
-            )
+    def __init__(self, atom: Atom, asserted_at: float = 0.0):
+        if not is_ground(atom):
+            raise MalformedItemError(f"A-Box atom must be ground: {atom}")
+        if not 0 <= asserted_at < math.inf:  # false for NaN too
+            raise MalformedItemError(f"asserted_at must be finite and nonnegative, got {asserted_at}")
+        _set(self, "atom", atom)
+        _set(self, "asserted_at", asserted_at)
+        _set(self, "_hash", hash((atom._hash, asserted_at)))
 
 
 @dataclass(frozen=True, order=True)
@@ -413,6 +467,7 @@ def _index_arguments(atom: Atom, args: ArgIndex) -> None:
 
 
 def substitute(atom: Atom, binding: dict) -> Atom:
+    """``atom`` with each variable that ``binding`` maps replaced by its value."""
     def term(t: Term) -> Term:
         return binding.get(t, t) if isinstance(t, Variable) else t
 
@@ -421,61 +476,118 @@ def substitute(atom: Atom, binding: dict) -> Atom:
     return PropertyAtom(atom.prop, term(atom.subject), term(atom.object))
 
 
-def _unify(pattern: Atom, fact: Atom, binding: dict) -> dict | None:
-    """``binding`` extended so that ``pattern`` becomes ``fact``, or None."""
-    if type(pattern) is not type(fact):
-        return None  # a class and a property may share a name
-    out = binding
-    for p, v in zip(atom_terms(pattern), atom_terms(fact)):
-        if isinstance(p, Individual):
-            if p != v:
-                return None
-        elif p in out:
-            if out[p] != v:
-                return None
-        else:
-            if out is binding:
-                out = dict(binding)
-            out[p] = v
-    return out
+_TEST, _ARG, _SCAN = "test", "arg", "scan"  # what a plan step does; see ``Plan``
+
+Row = tuple[tuple, tuple]  # slot values, and the facts matched so far
 
 
-def _join(plan: list[tuple[Atom, FactIndex, ArgIndex | None, FactIndex]]) -> list[dict]:
-    """Bindings matching each pattern to a fact of its index outside its skip index.
+def _builder(atom: Atom, slots: dict[Term, int]) -> Callable[[tuple], Atom]:
+    """A function from a row's slot values to ``atom`` with its terms read from them."""
+    s = slots[atom.subject]
+    if atom.__class__ is ClassAtom:
+        concept = atom.concept
+        return lambda vals: ClassAtom(concept, vals[s])
+    prop, o = atom.prop, slots[atom.object]
+    return lambda vals: PropertyAtom(prop, vals[s], vals[o])
 
-    A pattern that a binding leaves with one argument bound is matched
-    against the facts with that argument only, if its index has an
-    argument index.
+
+class Plan:
+    """A conjunction of patterns compiled once to steps over numbered slots.
+
+    A row is a tuple of slot values and the tuple of facts matched so
+    far, one per step.  Slots hold the plan's individuals first, then
+    each variable in the order a step first binds it, so binding a
+    variable appends to the row, and each step knows when it is compiled
+    which of its arguments are bound.  From that it takes one of four
+    actions: a ground atom is a membership test; a property atom with one
+    argument bound reads the facts with it there, from the argument
+    index if the step has one and else by filtering its predicate's
+    facts; any other atom reads every fact of its predicate, with an
+    equality check for a variable it repeats.
+
+    ``heads`` are atoms over the patterns' variables; ``builders`` holds,
+    for each, a function from a row's slot values to the head.  With
+    ``delta_at``, the pattern at that position is matched first, against
+    the delta index passed to ``rows``, and the patterns before it match
+    only facts outside the delta: each row that uses a delta fact is
+    found by exactly one such plan per body.
     """
-    bindings = [{}]
-    for pattern, index, args, skip in plan:
-        pred = atom_predicate(pattern)
-        facts = index.get(pred)
-        if not facts:
-            return []
-        excluded = skip.get(pred, ())
-        extended = []
-        for binding in bindings:
-            bound = substitute(pattern, binding)
-            if is_ground(bound):
-                if bound in facts and bound not in excluded:
-                    extended.append(binding)
-                continue
-            candidates = facts
-            if args is not None and isinstance(bound, PropertyAtom):
-                if isinstance(bound.subject, Individual):
-                    candidates = args.get((pred, 0, bound.subject), ())
-                elif isinstance(bound.object, Individual):
-                    candidates = args.get((pred, 1, bound.object), ())
-            for fact in candidates:
-                if fact not in excluded:
-                    out = _unify(bound, fact, binding)
-                    if out is not None:
-                        extended.append(out)
-        bindings = extended
-        if not bindings:
-            break
-    return bindings
+
+    __slots__ = ("start", "slots", "steps", "builders")
+
+    def __init__(self, patterns: Sequence[Atom], heads: Sequence[Atom] = (), delta_at: int | None = None):
+        slots: dict[Term, int] = {}
+        for atom in (*patterns, *heads):
+            for t in atom_terms(atom):
+                if t.__class__ is Individual:
+                    slots.setdefault(t, len(slots))
+        self.start = tuple(slots)
+        order = list(range(len(patterns)))
+        if delta_at is not None:
+            order.insert(0, order.pop(delta_at))
+        self.steps = []
+        for i in order:
+            pattern = patterns[i]
+            terms = atom_terms(pattern)
+            bound = [slots.get(t) for t in terms]
+            if None not in bound:
+                step = (_TEST, _builder(pattern, slots), None)
+            elif len(bound) == 2 and bound != [None, None]:
+                pos = 0 if bound[1] is None else 1  # the bound argument
+                step = (_ARG, pos, bound[pos])
+            else:
+                step = (_SCAN, pattern.__class__, len(terms) == 2 and terms[0] == terms[1])
+            for t in terms:
+                slots.setdefault(t, len(slots))
+            skips = delta_at is not None and i < delta_at
+            self.steps.append((atom_predicate(pattern), *step, i == delta_at, skips))
+        self.slots = slots
+        self.builders = [_builder(head, slots) for head in heads]
+
+    def rows(
+        self, index: FactIndex, args: ArgIndex | None = None, delta: FactIndex | None = None
+    ) -> list[Row]:
+        """Every row that matches each step to a fact of ``index``.
+
+        The first step of a plan compiled with ``delta_at`` matches the
+        facts of ``delta`` instead.  ``args``, the argument index of
+        ``index``, lets a step with one bound argument read only the
+        facts with it.
+        """
+        rows = [(self.start, ())]
+        for pred, action, a, b, first, skips in self.steps:
+            facts = (delta if first else index).get(pred)
+            if not facts:
+                return []
+            excluded = delta.get(pred, _NONE) if skips else _NONE
+            out = []
+            if action is _TEST:  # a: the atom's builder
+                for vals, seen in rows:
+                    atom = a(vals)
+                    if atom in facts and atom not in excluded:
+                        out.append((vals, (*seen, atom)))
+            elif action is _ARG:  # a: the bound argument's position, b: its slot
+                for vals, seen in rows:
+                    v = vals[b]
+                    if args is not None and not first:
+                        candidates = args.get((pred, a, v), _NONE)
+                    else:
+                        candidates = [f for f in facts
+                                      if f.__class__ is PropertyAtom and (f.object if a else f.subject) == v]
+                    for f in candidates:
+                        if f not in excluded:
+                            out.append(((*vals, f.subject if a else f.object), (*seen, f)))
+            else:  # a: the atom class, b: whether a property atom repeats its variable
+                matched = [
+                    ((f.subject,) if a is ClassAtom or b else (f.subject, f.object), f)
+                    for f in facts
+                    if f.__class__ is a and f not in excluded and not (b and f.subject != f.object)
+                ]
+                out = [((*vals, *new), (*seen, f)) for vals, seen in rows for new, f in matched]
+            rows = out
+            if not rows:
+                break
+        return rows
 
 
 def match_body(
@@ -487,19 +599,19 @@ def match_body(
     """All variable bindings under which every body atom matches an indexed fact.
 
     With ``delta`` (the facts new or changed in the last round, also in
-    ``index``) only the bindings that use a delta fact, each once: the
-    first body position that uses one matches ``delta`` and is joined
-    first, the positions before it match facts outside ``delta``.
-    ``args``, the argument index of the facts in ``index``, lets a body
-    atom with a bound argument read only the facts that have it.
+    ``index``) only the bindings that use a delta fact, each once: one
+    plan per body position matches that position to ``delta`` first,
+    and the positions before it to facts outside ``delta``.  ``args``,
+    the argument index of the facts in ``index``, lets a body atom with
+    a bound argument read only the facts that have it.  A binding is a
+    dict from each variable to its individual; ``fixpoint`` reads the
+    plans' rows directly.
     """
-    if delta is None:
-        return _join([(pattern, index, args, {}) for pattern in body])
+    plans = [Plan(body)] if delta is None else [Plan(body, (), i) for i in range(len(body))]
     out = []
-    for i, pattern in enumerate(body):
-        plan = [(pattern, delta, None, {})]
-        plan += [(p, index, args, delta if j < i else {}) for j, p in enumerate(body) if j != i]
-        out.extend(_join(plan))
+    for plan in plans:
+        variables = [(v, slot) for v, slot in plan.slots.items() if isinstance(v, Variable)]
+        out += [{v: vals[slot] for v, slot in variables} for vals, _ in plan.rows(index, args, delta)]
     return out
 
 
@@ -544,9 +656,11 @@ def fixpoint(
     gives its head ``conjoin`` of its premises' annotations; two
     annotations of one atom combine by ``disjoin``.  Rounds are
     semi-naive: each fires the axioms and rules only on the atoms
-    whose annotation is new or changed in the previous round, joining
-    rule bodies through a per-predicate and a per-argument index.
-    Terminates when annotations form a finite lattice, as sets of atoms
+    whose annotation is new or changed in the previous round.  Each
+    rule is compiled once per call, to one ``Plan`` per body position
+    matched against the round's delta; a firing reads its premises'
+    annotations from the facts its row matched and builds its head
+    from the row's slots.  Terminates when annotations form a finite lattice, as sets of atoms
     and of mapping-id paths over a finite KB do.
 
     Returns the annotated atoms, their two indexes and the atoms whose
@@ -558,7 +672,7 @@ def fixpoint(
     on evaluation order, so continuing equals computing from scratch.
     """
     heads = _tbox_heads(tbox)
-    rules = list(rbox)
+    plans = [Plan(rule.body, (rule.head,), i) for rule in rbox for i in range(len(rule.body))]
     facts, index, args = ({}, {}, {}) if closed is None else closed
     delta = _absorb(facts, seeds, disjoin, index, args)
     changed: set[Atom] = set()
@@ -574,12 +688,10 @@ def fixpoint(
             for atom in bucket:
                 for head in heads(atom):
                     emit(head, facts[atom])
-        for rule in rules:
-            for binding in match_body(rule.body, index, delta, args):
-                emit(
-                    substitute(rule.head, binding),
-                    conjoin([facts[substitute(b, binding)] for b in rule.body]),
-                )
+        for plan in plans:
+            head = plan.builders[0]
+            for vals, seen in plan.rows(index, args, delta):
+                emit(head(vals), conjoin([facts[f] for f in seen]))
         delta = _absorb(facts, fresh, disjoin, index, args)
     return facts, index, args, changed
 

@@ -2,10 +2,15 @@
 
 Mappings are directed bridges: a source atom pattern over the external
 namespace, a target pattern over the local namespace, and the
-probability that instances of the source belong to the target.  A merge
-applies every mapping to every asserted external ground fact, then
-chains the resulting local atoms through the local T-Box and R-Box with
-the knowledge base's semi-naive engine (``kb.fixpoint``).  A merge may
+probability that instances of the source belong to the target.  Source
+and target use the same variables, so a mapping is a rename: compiled
+to a one-step ``kb.Plan`` over its source, it takes each matching
+asserted external fact straight to its target atom, with no join.  A
+merge then chains the resulting local atoms through the local T-Box and
+R-Box with the knowledge base's semi-naive engine (``kb.fixpoint``).
+A query is one compiled plan over its conjuncts; on a merge whose
+fixpoint no later merge has taken over, it reads that fixpoint's paths
+and index instead of rebuilding them from the facts.  A merge may
 name an earlier merge as its ``parent``: when only the local A-Box grew
 since, it takes the parent's fixpoint (path sets and indexes) over,
 continues it with the new local facts as seeds, keeps the parent's
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -53,15 +59,13 @@ from .kb import (
     EntityName,
     FactIndex,
     KnowledgeBase,
+    Plan,
     Variable,
     atom_predicate,
     atom_terms,
     fixpoint,
     index_args,
     index_facts,
-    is_ground,
-    match_body,
-    substitute,
 )
 
 SCORING_BUDGET = 10_000  # expansions one lineage formula may take
@@ -197,7 +201,7 @@ _NO_MAPPING: Path = frozenset()  # the path of a purely local derivation
 LOCAL: PathSet = frozenset({_NO_MAPPING})  # the annotation of a local A-Box fact
 
 
-def _canonical(paths: Iterable[Path]) -> PathSet:
+def _canonical(paths: AbstractSet[Path]) -> PathSet:
     """Keep the local path plus the subset-minimal mapped paths.
 
     A path that is a superset of another mapped path holds only in a
@@ -206,8 +210,11 @@ def _canonical(paths: Iterable[Path]) -> PathSet:
     mapped derivations it would otherwise absorb.  Taken in length
     order, a path can only be absorbed by a shorter path already kept:
     a kept single mapping it contains or, if it has three mappings or
-    more, a kept path of two or more.
+    more, a kept path of two or more.  With no path of two or more,
+    none is absorbed.
     """
+    if all(len(path) < 2 for path in paths):
+        return frozenset(paths)
     singles: set[str] = set()
     longer: list[Path] = []
     kept: list[Path] = []
@@ -231,7 +238,7 @@ def _conjoin(premises: list[PathSet]) -> PathSet:
     combos = {frozenset()}
     for paths in premises:
         combos = {c | p for c in combos for p in paths}
-    return _canonical(combos)
+    return frozenset(combos) if len(combos) == 1 else _canonical(combos)
 
 
 def fact_probability(paths: PathSet, prob_of: dict[str, float]) -> float:
@@ -380,12 +387,13 @@ def merge(
                 )
         seeds: dict[Atom, PathSet] = dict.fromkeys(local.abox, LOCAL)
         external_facts = index_facts(external.abox)
-        for m in mappings:
+        for m in mappings:  # a rename: each matching external fact's target, read from its arguments
             path = frozenset({frozenset({m.mapping_id})})
-            for binding in match_body((m.source,), external_facts):
-                mapped = substitute(m.target, binding)
-                if is_ground(mapped):
-                    seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
+            plan = Plan((m.source,), (m.target,))
+            target = plan.builders[0]
+            for vals, _ in plan.rows(external_facts):
+                mapped = target(vals)
+                seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
         paths, index, args, _ = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin)
         keyed = sorted((str(atom), atom) for atom in paths)  # str(atom) is unique
         derived = {atom: DerivedFact(atom, paths[atom], prob_of) for _, atom in keyed}
@@ -443,15 +451,21 @@ def query(
     if not conjuncts:
         raise UnsafeQueryError("query needs at least one conjunct")
     prob_of = {m.mapping_id: m.probability for m in merged.mappings}
-    base = {atom: paths for atom, fact in merged.derived.items()
-            if (paths := fact.paths - LOCAL if mapped_only else fact.paths)}
+    state = merged._state
+    if state is not None and not state.taken and not mapped_only:  # the merge's own fixpoint
+        base, index, args = state.paths, state.index, state.args
+    else:
+        base = {atom: paths for atom, fact in merged.derived.items()
+                if (paths := fact.paths - LOCAL if mapped_only else fact.paths)}
+        index, args = index_facts(base), None
 
+    plan = Plan(tuple(conjuncts))
+    variables = sorted((v.token, slot) for v, slot in plan.slots.items() if isinstance(v, Variable))
     answers: dict[tuple, QueryAnswer] = {}
-    for binding in match_body(tuple(conjuncts), index_facts(base)):
-        key = tuple(sorted((var.token, value.name) for var, value in binding.items()))
+    for vals, seen in plan.rows(index, args):
+        key = tuple((token, vals[slot].name) for token, slot in variables)
         if key not in answers:
-            clauses = [base[substitute(c, binding)] for c in conjuncts]
-            answers[key] = QueryAnswer(key, _score(clauses, prob_of))
+            answers[key] = QueryAnswer(key, _score([base[f] for f in seen], prob_of))
     return sorted(
         answers.values(), key=lambda a: (-a.probability, tuple(str(v) for _, v in a.binding))
     )

@@ -75,6 +75,42 @@ def test_merge_query_threshold_filters_mappings(capsys, fixture_path) -> None:
     assert out.split("\n")[0] == "x=Trip p=1.000000000"
 
 
+def travel_events(capsys, fixture_path, threshold: str) -> tuple[int, str, str]:
+    return run_cli(
+        capsys,
+        "merge-query",
+        str(fixture_path("travel_local.onto")),
+        str(fixture_path("travel_external.onto")),
+        str(fixture_path("travel.map")),
+        "O1:Event(x)",
+        "--threshold",
+        threshold,
+    )
+
+
+@pytest.mark.parametrize("threshold", ["nan", "1.5", "-0.1"])
+def test_merge_query_rejects_a_threshold_outside_the_unit_interval(capsys, fixture_path, threshold) -> None:
+    # the message is the one monitor gives for the same value
+    code, out, err = travel_events(capsys, fixture_path, threshold)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: acceptance threshold {float(threshold)} outside [0, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "threshold, answers",
+    [
+        ("0", ["x=Trip p=1.000000000", "x=Holyday p=0.800000000"]),
+        ("0.8", ["x=Trip p=1.000000000", "x=Holyday p=0.800000000"]),  # the threshold is inclusive
+        ("1", ["x=Trip p=1.000000000"]),  # no mapping reaches 1: the local answer alone
+    ],
+)
+def test_merge_query_accepts_a_threshold_in_the_unit_interval(capsys, fixture_path, threshold, answers) -> None:
+    code, out, _ = travel_events(capsys, fixture_path, threshold)
+    assert code == 0
+    assert out.splitlines() == answers
+
+
 def test_merge_query_out_file(capsys, fixture_path, tmp_path) -> None:
     out_file = tmp_path / "answers.txt"
     code, out, _ = run_cli(

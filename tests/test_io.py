@@ -160,6 +160,38 @@ def test_rule_and_allvalues_statements() -> None:
     assert rule.head == ClassAtom(name("O1", "Subject"), Variable("y"))
 
 
+def names_and_individuals(value, found: list) -> list:
+    """Every name and individual object inside ``value``, repeats included."""
+    if isinstance(value, (EntityName, Individual)):
+        found.append(value)
+    if isinstance(value, KnowledgeBase):
+        names_and_individuals([*value.abox, *value.tbox, *value.rbox], found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            names_and_individuals(item, found)
+    elif hasattr(value, "__match_args__"):  # atoms, axioms, rules, mappings, events
+        names_and_individuals([getattr(value, name) for name in value.__match_args__], found)
+    return found
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_ontology, "namespace O\nclass O:Event\nclass O:Thing\nproperty O:about\nsubclass O:Event O:Thing\n"
+                     "assert O:Event(trip)\nassert O:about(trip, sea)\nassert O:Thing(sea) @ 2\n"
+                     "assert O:Event(i:sea)\nrule r1: O:Event(x), O:about(x, sea) -> O:Thing(x)\n"),
+    (parse_mappings, "map m1: O:Event(x) <- X:Trip(x) ; P(0.5)\nmap m2: O:about(x, Sea) <- X:Trip(x) ; P(0.5)\nmap m3: O:Event(Sea) <- X:Trip(Sea) ; P(0.5)\n"),
+    (parse_events, "namespace O\nat 1 assert O:Event(trip)\nat 2 action a1 O:Review by trip\n"
+                   "at 3 assert O:about(trip, O:Event)\n"),
+    (parse_query, "O:Event(x) & O:about(x, Sea) & O:Event(Sea)"),
+])
+def test_a_parse_builds_each_name_and_individual_once(parse, text) -> None:
+    first, second = (names_and_individuals(parse(text), []) for _ in range(2))
+    assert len(first) > len(set(first))  # the document repeats some
+    for found in (first, second):
+        for value in found:
+            assert all(other is value for other in found if other == value), value
+    assert not {id(v) for v in first} & {id(v) for v in second}
+
+
 def test_format_atom_round_trips_through_parser() -> None:
     atom = PropertyAtom(
         name("O1", "keyword"),

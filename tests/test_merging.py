@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontoflux
+import ontoflux.kb as kb_module
 from ontoflux import cli, merging
 from ontoflux.io import serialize_mappings, serialize_ontology
 from helpers import random_kb, world_atom_probabilities, world_scores, world_support
@@ -534,6 +535,98 @@ def test_atom_probabilities_are_single_atom_world_scores(seed):
     local, external, mappings, _ = random_scenario(random.Random(seed))
     for atom, p in world_atom_probabilities(local, external, mappings).items():
         assert world_scores(local, external, mappings, [atom]) == {(): p}
+
+
+BOB = ind("bob")
+
+
+def shaped_scenario(rng: random.Random):
+    """A merge whose mappings and query take every shape a compiled rename or
+    plan step can: swapped arguments, a repeated variable, and an individual in
+    a mapping's source, its target or a query conjunct."""
+    a, b, q, rel = (local_name(token) for token in ("A", "B", "Q", "rel"))
+    d, e = ext_name("D"), ext_name("E")
+    people = [ind("t0"), ind("t1"), BOB]
+    shapes = [
+        (ClassAtom(a, X), ClassAtom(d, X)),
+        (PropertyAtom(rel, X, Y), PropertyAtom(e, X, Y)),
+        (PropertyAtom(rel, Y, X), PropertyAtom(e, X, Y)),  # swapped arguments
+        (ClassAtom(a, X), PropertyAtom(e, X, X)),  # a repeated variable
+        (ClassAtom(a, X), PropertyAtom(e, X, BOB)),  # an individual in the source
+        (PropertyAtom(rel, X, BOB), ClassAtom(d, X)),  # an individual in the target
+    ]
+    mappings = [Mapping(f"m{k}", *shape, rng.choice([0.1, 0.5, 0.8, 1.0]))
+                for k, shape in enumerate(rng.sample(shapes, rng.randint(1, 4)))]
+    rules = [
+        HornRule("join", (ClassAtom(a, X), PropertyAtom(rel, X, Y)), ClassAtom(q, X)),
+        HornRule("loop", (PropertyAtom(rel, X, X),), ClassAtom(q, X)),
+        HornRule("to_bob", (PropertyAtom(rel, X, BOB), ClassAtom(a, BOB)), ClassAtom(b, X)),
+    ]
+    local_items = [rule for rule in rules if rng.random() < 0.5]
+    if rng.random() < 0.5:
+        local_items.append(SubClassOf(a, b))
+    for _ in range(rng.randint(0, 2)):
+        fact = rng.choice([ClassAtom(a, rng.choice(people)), PropertyAtom(rel, rng.choice(people), rng.choice(people))])
+        local_items.append(ABoxAssertion(fact))
+    external_items = [
+        ABoxAssertion(rng.choice([ClassAtom(d, rng.choice(people)), PropertyAtom(e, rng.choice(people), rng.choice(people))]))
+        for _ in range(rng.randint(1, 5))
+    ]
+    conjuncts = rng.choice([
+        [ClassAtom(a, X)],
+        [PropertyAtom(rel, X, Y)],
+        [PropertyAtom(rel, X, X)],
+        [PropertyAtom(rel, X, BOB)],
+        [ClassAtom(a, BOB)],
+        [PropertyAtom(rel, BOB, Y), ClassAtom(a, Y)],
+        [ClassAtom(a, X), PropertyAtom(rel, X, Y), ClassAtom(a, Y)],
+        [ClassAtom(q, X), ClassAtom(b, X)],
+    ])
+    return kb_of(*local_items), kb_of(*external_items), mappings, conjuncts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_renames_and_plans_of_every_shape_match_possible_worlds(seed, mapped_only):
+    local, external, mappings, conjuncts = shaped_scenario(random.Random(seed))
+    merged = merge(local, external, mappings)
+    assert_stored_probabilities_exact(merged, local, external, mappings)
+    answers = query(merged, conjuncts, mapped_only=mapped_only)
+    got = {a.binding: a.probability for a in answers}
+    want = world_scores(local, external, mappings, conjuncts, mapped_only=mapped_only)
+    for key in set(got) | set(want):
+        assert math.isclose(got.get(key, 0.0), want.get(key, 0.0), rel_tol=0.0, abs_tol=1e-12), (
+            key, got.get(key), want.get(key)
+        )
+    # a child merge takes the fixpoint over; the parent answers from its own facts
+    grown = assert_item(local, ABoxAssertion(ClassAtom(local_name("A"), ind("t9"))))
+    merge(grown, external, mappings, parent=merged)
+    assert merged._state.taken
+    assert query(merged, conjuncts, mapped_only=mapped_only) == answers
+
+
+def test_merge_and_query_build_no_atom_by_substitution(monkeypatch):
+    calls = []
+    counted = kb_module.substitute
+
+    def counter(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(kb_module, "substitute", counter)
+    monkeypatch.setattr(merging, "substitute", counter, raising=False)  # where merging imported it
+    rule = HornRule("join", (ClassAtom(local_name("A"), X), PropertyAtom(local_name("rel"), X, Y)),
+                    ClassAtom(local_name("Q"), X))
+    local = kb_of(rule, ABoxAssertion(PropertyAtom(local_name("rel"), ind("t0"), BOB)))
+    external = kb_of(ABoxAssertion(ClassAtom(ext_name("D"), ind("t0"))))
+    merged = merge(local, external, [class_mapping("m1", "A", "D", 0.5)])
+    grown = assert_item(local, ABoxAssertion(PropertyAtom(local_name("rel"), ind("t0"), ind("t1"))))
+    continued = merge(grown, external, merged.mappings, parent=merged)
+    for kb in (merged, continued):
+        assert [(a.binding, a.probability) for a in query(kb, [ClassAtom(local_name("Q"), X)])] == [
+            ((("x", EntityName("i", "t0")),), 0.5)
+        ]
+    assert calls == []
 
 
 HASH_SEED_SCRIPT = r"""
