@@ -780,7 +780,7 @@ def outcome(op, a, b):
         return TypeError
 
 
-@pytest.mark.parametrize("value", some_values()[:: 7], ids=repr)
+@pytest.mark.parametrize("value", some_values()[::7], ids=str)
 def test_values_survive_pickling_and_copying_and_refuse_assignment(value):
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert clone == value and hash(clone) == hash(value) and repr(clone) == repr(value)
