@@ -285,6 +285,7 @@ _ONTOLOGY = {
 _ONTOLOGY_KEYWORDS = tuple(f"'{keyword}'" for keyword in _ONTOLOGY)
 _AXIOMS = dict(subclass=SubClassOf, disjoint=DisjointClasses, domain=PropertyDomain,
                range=PropertyRange, allvalues=AllValuesFrom)
+_KEYWORDS = {axiom: keyword for keyword, axiom in _AXIOMS.items()}
 
 
 def parse_ontology(text: str) -> KnowledgeBase:
@@ -353,21 +354,11 @@ def serialize_ontology(kb: KnowledgeBase, namespace: Optional[str] = None) -> st
     for name in sorted(predicates):
         lines.append(f"{predicates[name]} {format_name(name)}")
     for ax in sorted(kb.tbox, key=str):
-        if isinstance(ax, SubClassOf):
-            lines.append(f"subclass {format_name(ax.sub)} {format_name(ax.sup)}")
-        elif isinstance(ax, DisjointClasses):
-            lines.append(f"disjoint {format_name(ax.a)} {format_name(ax.b)}")
-        elif isinstance(ax, UnionEquivalence):
+        if isinstance(ax, UnionEquivalence):
             parts = " | ".join(format_name(p) for p in ax.parts)
             lines.append(f"union {format_name(ax.whole)} = {parts}")
-        elif isinstance(ax, PropertyDomain):
-            lines.append(f"domain {format_name(ax.prop)} {format_name(ax.concept)}")
-        elif isinstance(ax, PropertyRange):
-            lines.append(f"range {format_name(ax.prop)} {format_name(ax.concept)}")
-        elif isinstance(ax, AllValuesFrom):
-            lines.append(
-                f"allvalues {format_name(ax.concept)} {format_name(ax.prop)} {format_name(ax.filler)}"
-            )
+        else:  # the keyword, then the fields in the order its statement names them
+            lines.append(" ".join([_KEYWORDS[type(ax)], *map(format_name, vars(ax).values())]))
     for rule in sorted(kb.rbox, key=lambda r: r.rule_id):
         body = ", ".join(format_atom(a) for a in rule.body)
         lines.append(f"rule {rule.rule_id}: {body} -> {format_atom(rule.head)}")

@@ -25,21 +25,23 @@ continue an earlier result in place: given an already-closed atom set,
 its indexes and new seeds, only the seeds that add to it start the
 rounds.  Computing from scratch is continuing from nothing.
 
-The saturation is memoized on the knowledge base itself.  The memo
-holds the fixpoint's state, not just its atoms: the derived atoms, their
-two indexes and the members of each concept, all extended from each
-round's delta.  ``saturate`` hands out a read-only set view of
-it; ``entailed_members``, ``is_member``, ``close_class`` and the
-constraint checks read the member sets and the index, so none of them
-rescans the saturation, and a closure record is a view of a member
-set, not a copy.  A KB made by ``close_class``, or by
+The saturation is memoized on the knowledge base itself, and the memo
+is the read-only set that ``saturate`` returns.  It holds the
+fixpoint's state, not just its atoms: the derived atoms, their two
+indexes and the members of each concept, all extended from each
+round's delta.  ``entailed_members``, ``is_member``, ``close_class`` and
+the constraint checks read the member sets and the index, so none of
+them rescans the saturation, and a closure record is a view of a
+member set, not a copy.  A KB made by ``close_class``, or by
 re-asserting a known atom, shares its parent's memo, since its T-Box,
-R-Box and A-Box atoms are the same.  A KB made by asserting new A-Box
-atoms keeps the memo it grew from and those atoms; saturating it seeds
-the fixpoint with the new atoms only and takes the older memo's state
-over, extending it in place.  The older KB still answers for its own
-atoms, a prefix of the state it gave away, and copies that prefix out
-if it is asked again.  A T-Box or R-Box assertion starts a fresh memo.
+R-Box and A-Box atoms are the same.  An A-Box only gains atoms at its
+end, so a KB made by asserting new A-Box atoms keeps the memo it grew
+from and the length of that memo's A-Box; saturating it seeds the
+fixpoint with the atoms past that length only and takes the older
+memo's state over, extending it in place.  The older KB still answers
+for its own atoms, a prefix of the state it gave away, and copies that
+prefix out if it is asked again.  A T-Box or R-Box assertion starts a
+fresh memo, which seeds the fixpoint with the whole A-Box.
 
 Names, terms, atoms and assertions hash once, at construction, since
 every dict and set the engine keeps hashes them; their constructors are
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
 from collections.abc import Set as AbstractSet
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
@@ -386,6 +387,9 @@ class KnowledgeBase:
         """The A-Box in ``str(atom)`` order (class and property atoms do not compare)."""
         return [ABoxAssertion(a, self.abox[a]) for a in sorted(self.abox, key=str)]
 
+    def __reduce__(self):
+        return KnowledgeBase, (self.tbox, self.abox, self.rbox, self.closures)  # the memo does not travel
+
 
 KBItem = Union[TBoxAxiom, ABoxAssertion, HornRule]
 
@@ -399,12 +403,12 @@ def assert_all(kb: KnowledgeBase, items: Iterable[KBItem]) -> KnowledgeBase:
     """Return a new KB containing every item; ``kb`` itself if none adds anything.
 
     One pass, equal to asserting the items one by one: an A-Box atom
-    keeps its earliest time, and the A-Box is copied once.  Any new
-    T-Box or R-Box item starts a fresh memo; otherwise new A-Box atoms
-    extend ``kb``'s memo, and a KB with the same atoms shares it.
+    keeps its earliest time and its place, a new one goes at the end,
+    and the A-Box is copied once.  Any new T-Box or R-Box item starts a
+    fresh memo; otherwise new A-Box atoms extend ``kb``'s memo, and a KB
+    with the same atoms shares it.
     """
     abox = None  # kb.abox, copied at the first change
-    added: list[Atom] = []
     tbox: set[TBoxAxiom] = set()
     rbox: set[HornRule] = set()
     for item in items:
@@ -414,8 +418,6 @@ def assert_all(kb: KnowledgeBase, items: Iterable[KBItem]) -> KnowledgeBase:
                 continue
             if abox is None:
                 abox = dict(kb.abox)
-            if existing is None:
-                added.append(item.atom)
             abox[item.atom] = item.asserted_at
         elif isinstance(item, _TBOX_TYPES):
             if item not in kb.tbox:
@@ -429,7 +431,7 @@ def assert_all(kb: KnowledgeBase, items: Iterable[KBItem]) -> KnowledgeBase:
         return KnowledgeBase(kb.tbox | tbox, kb.abox if abox is None else abox, kb.rbox | rbox, kb.closures)
     if abox is None:
         return kb
-    memo = kb._memo.extended(tuple(added)) if added else kb._memo
+    memo = kb._memo if len(abox) == len(kb.abox) else kb._memo.extended(len(kb.abox))
     return KnowledgeBase(kb.tbox, abox, kb.rbox, kb.closures, memo)
 
 
@@ -775,82 +777,36 @@ class Members(AbstractSet):
         return frozenset(names)
 
 
-class _Memo:
-    """The saturation of every KB sharing this memo: they have one T-, A- and R-Box.
+class _Memo(AbstractSet):
+    """The saturation of every KB sharing this memo, as a read-only set:
+    they have one T-, A- and R-Box.
 
     Once computed, it is the first ``size`` atoms of ``closure``.  The
     memo of a KB with more A-Box atoms takes its base's closure over and
     extends it in place, from each round's delta; the base then reads
     its own atoms as a prefix, copied out the first time it is asked
-    again.  Until computed, ``base`` may be the memo of a KB with the
-    same T- and R-Box and a subset of the A-Box, and ``added`` the A-Box
-    atoms asserted since (tuples linked newest first); saturating
-    continues ``base`` with ``added`` as the only seeds.
+    again.  Until computed, ``base`` may be the computed memo of a KB
+    with the same T- and R-Box whose A-Box is the first ``since`` atoms
+    of this one's; saturating continues ``base`` with the atoms after
+    those as the only seeds.  Membership and size read the closure;
+    iterating, hashing or combining it with another set builds a
+    frozenset of it, once.
     """
 
-    __slots__ = ("closure", "size", "base", "added", "view")
+    __slots__ = ("closure", "size", "base", "since", "_atoms")
 
-    def __init__(self, base: "_Memo | None" = None, added: tuple | None = None):
+    def __init__(self, base: "_Memo | None" = None, since: int = 0):
         self.closure: _Closure | None = None
         self.size = 0
         self.base = base
-        self.added = added
-        # the last view ``saturate`` handed out, weakly: a view refers to its
-        # memo, and a reference cycle would keep both past the KB's lifetime
-        self.view: weakref.ref[Saturation] | None = None
-
-    def __reduce__(self):
-        return _Memo, ()  # a cache: a pickled or copied KB saturates afresh
-
-    def extended(self, atoms: tuple[Atom, ...]) -> "_Memo":
-        """The memo of a KB with the new A-Box ``atoms`` as well."""
-        if self.closure is not None:
-            return _Memo(self, (atoms, None))
-        if self.base is None:
-            return _Memo()  # nothing computed along the line: start from the whole A-Box
-        return _Memo(self.base, (atoms, self.added))
-
-    def compute(self, kb: KnowledgeBase) -> None:
-        if self.base is None:
-            closure, seeds = _Closure(), kb.abox
-        else:
-            closure, chunks, link = self.base.own(), [], self.added
-            while link is not None:
-                chunks.append(link[0])
-                link = link[1]
-            seeds = [atom for atoms in reversed(chunks) for atom in atoms]
-        *_, new = fixpoint(
-            kb.tbox, kb.rbox, dict.fromkeys(seeds, True), _holds, _holds,
-            (closure.facts, closure.index, closure.args),
-        )
-        closure.add_members(new)
-        self.closure, self.size, self.base, self.added = closure, len(closure.facts), None, None
-
-    def own(self) -> _Closure:
-        """The closure, holding this memo's atoms and no later ones."""
-        if len(self.closure.facts) != self.size:
-            self.closure = _Closure(islice(self.closure.facts, self.size))
-        return self.closure
-
-
-class Saturation(AbstractSet):
-    """The atoms derivable from a KB, as a read-only set.
-
-    Membership and size read the KB's memo; iterating, hashing or
-    combining it with another set builds a frozenset of it, once.
-    """
-
-    __slots__ = ("_memo", "_atoms", "__weakref__")
-
-    def __init__(self, memo: _Memo):
-        self._memo = memo
+        self.since = since
         self._atoms: frozenset[Atom] | None = None
 
     def __contains__(self, atom) -> bool:
-        return atom in self._memo.own().facts
+        return atom in self.own().facts
 
     def __len__(self) -> int:
-        return self._memo.size
+        return self.size
 
     def __iter__(self):
         return iter(self.atoms())
@@ -862,42 +818,56 @@ class Saturation(AbstractSet):
         return f"Saturation({set(self.atoms())!r})"
 
     def __reduce__(self):
-        return frozenset, (self.atoms(),)  # the memo it reads does not travel
-
-    def atoms(self) -> frozenset[Atom]:
-        if self._atoms is None:
-            self._atoms = frozenset(self._memo.own().facts)
-        return self._atoms
+        return frozenset, (self.atoms(),)  # the closure it reads does not travel
 
     @classmethod
     def _from_iterable(cls, atoms: Iterable[Atom]) -> frozenset[Atom]:
         return frozenset(atoms)
 
+    def atoms(self) -> frozenset[Atom]:
+        if self._atoms is None:
+            self._atoms = frozenset(self.own().facts)
+        return self._atoms
 
-def saturate(kb: KnowledgeBase) -> Saturation:
+    def extended(self, size: int) -> "_Memo":
+        """The memo of a KB grown by new A-Box atoms from a KB with this memo and ``size`` atoms."""
+        return _Memo(self, size) if self.closure is not None else _Memo(self.base, self.since)
+
+    def compute(self, kb: KnowledgeBase) -> None:
+        closure = _Closure() if self.base is None else self.base.own()
+        *_, new = fixpoint(
+            kb.tbox, kb.rbox, dict.fromkeys(islice(kb.abox, self.since, None), True), _holds, _holds,
+            (closure.facts, closure.index, closure.args),
+        )
+        closure.add_members(new)
+        self.closure, self.size, self.base = closure, len(closure.facts), None
+
+    def own(self) -> _Closure:
+        """The closure, holding this memo's atoms and no later ones."""
+        if len(self.closure.facts) != self.size:
+            self.closure = _Closure(islice(self.closure.facts, self.size))
+        return self.closure
+
+
+def saturate(kb: KnowledgeBase) -> AbstractSet[Atom]:
     """Least fixpoint of the ground atoms derivable from the KB.
 
     Combines asserted atoms with subclass propagation, union
     part-to-whole propagation, property domain/range inference, and
     Horn-rule firing over known individuals.  Terminates because the
     ground atom space over the KB's individuals is finite.  The result
-    is computed once per KB and kept on it; a KB that extends its
-    parent's memo continues the parent's saturation.  It is returned as
-    a read-only set view of the memo.
+    is computed once per KB and kept on it as its memo, a read-only set;
+    a KB that extends its parent's memo continues the parent's
+    saturation.
     """
     memo = kb._memo
     if memo.closure is None:
         memo.compute(kb)
-    view = memo.view() if memo.view is not None else None
-    if view is None:
-        view = Saturation(memo)
-        memo.view = weakref.ref(view)
-    return view
+    return memo
 
 
 def _closure(kb: KnowledgeBase) -> _Closure:
-    saturate(kb)
-    return kb._memo.own()
+    return saturate(kb).own()
 
 
 def entailed_members(kb: KnowledgeBase, concept: EntityName) -> set[EntityName]:
@@ -946,8 +916,11 @@ def close_class(kb: KnowledgeBase, concept: EntityName, now: float) -> Knowledge
 
     After closing, non-membership queries against the concept answer
     False instead of Unknown.  Re-closing replaces the record; closing
-    backwards in time is rejected.
+    backwards in time, or at a time that is not finite and nonnegative,
+    is rejected.
     """
+    if not 0 <= now < math.inf:  # false for NaN too
+        raise ValueError(f"cannot close {concept} at {now}: the time must be finite and nonnegative")
     prior = kb.closures.get(concept)
     if prior is not None and now < prior.closed_at:
         raise ValueError(f"cannot close {concept} at {now} before existing closure at {prior.closed_at}")

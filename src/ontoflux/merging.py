@@ -8,14 +8,15 @@ to a one-step ``kb.Plan`` over its source, it takes each matching
 asserted external fact straight to its target atom, with no join.  A
 merge then chains the resulting local atoms through the local T-Box and
 R-Box with the knowledge base's semi-naive engine (``kb.fixpoint``).
-A query is one compiled plan over its conjuncts; on a merge whose
-fixpoint no later merge has taken over, it reads that fixpoint's paths
-and index instead of rebuilding them from the facts.  A merge may
-name an earlier merge as its ``parent``: when only the local A-Box grew
-since, it takes the parent's fixpoint (path sets and indexes) over,
-continues it with the new local facts as seeds, keeps the parent's
-facts whose paths did not change and sorts only the new atoms into the
-parent's order.
+A merge may name an earlier merge as its ``parent``: when only the
+local A-Box grew since, it takes the parent's fixpoint (path sets and
+indexes) over, continues it with the new local facts as seeds, keeps
+the parent's facts whose paths did not change and sorts only the new
+atoms into the parent's order.  Any other merge continues an empty
+fixpoint with every local fact and every mapped one as seeds, by the
+same code.  A query is one compiled plan over its conjuncts, matched
+against a merge's fixpoint state: the merge's own, or one rebuilt from
+its facts once a later merge has taken that over.
 
 Each derived atom carries its provenance as a set of derivation paths,
 every path being the set of mapping ids it relied on; that path set is
@@ -179,11 +180,6 @@ class _FixpointState:
     def __init__(self, paths: dict[Atom, PathSet], index: FactIndex, args: ArgIndex, keys: list[str]):
         self.paths, self.index, self.args, self.keys, self.taken = paths, index, args, keys, False
 
-    @staticmethod
-    def of(derived: dict[Atom, DerivedFact]) -> "_FixpointState":
-        paths = {atom: fact.paths for atom, fact in derived.items()}
-        return _FixpointState(paths, index_facts(paths), index_args(paths), [str(atom) for atom in derived])
-
 
 @dataclass(frozen=True)
 class MergedKB:
@@ -195,6 +191,14 @@ class MergedKB:
 
     def fact(self, atom: Atom) -> Optional[DerivedFact]:
         return self.derived.get(atom)
+
+    def _fixpoint(self) -> _FixpointState:
+        """This merge's fixpoint state, rebuilt from its facts if a later merge has taken it over."""
+        state = self._state
+        if state is None or state.taken:
+            paths = {atom: fact.paths for atom, fact in self.derived.items()}
+            state = _FixpointState(paths, index_facts(paths), index_args(paths), [str(atom) for atom in self.derived])
+        return state
 
 
 _NO_MAPPING: Path = frozenset()  # the path of a purely local derivation
@@ -368,7 +372,8 @@ def merge(
     A-Box atoms, its path sets are the closed start of the fixpoint and
     the new local atoms its seeds; facts whose paths did not change are
     reused, and with no new atom its ``derived`` is returned as is.  In
-    every other case the merge starts from scratch.
+    every other case the merge continues an empty fixpoint, seeded with
+    the local A-Box and each mapping's renames of the external one.
     """
     mappings = tuple(mappings)
     added = _added_atoms(parent, local, external, mappings)
@@ -394,36 +399,29 @@ def merge(
             for vals, _ in plan.rows(external_facts):
                 mapped = target(vals)
                 seeds[mapped] = _disjoin(seeds[mapped], path) if mapped in seeds else path
-        paths, index, args, _ = fixpoint(local.tbox, local.rbox, seeds, _conjoin, _disjoin)
-        keyed = sorted((str(atom), atom) for atom in paths)  # str(atom) is unique
-        derived = {atom: DerivedFact(atom, paths[atom], prob_of) for _, atom in keyed}
-        state = _FixpointState(paths, index, args, [key for key, _ in keyed])
-        return MergedKB(local, external, mappings, derived, state)
-
-    state = parent._state
-    if state is None or state.taken:
-        state = _FixpointState.of(parent.derived)
+        before, state = {}, _FixpointState({}, {}, {}, [])
+    else:
+        seeds, before, state = dict.fromkeys(added, LOCAL), parent.derived, parent._fixpoint()
     state.taken = True
     paths, index, args, changed = fixpoint(
-        local.tbox, local.rbox, dict.fromkeys(added, LOCAL), _conjoin, _disjoin,
-        (state.paths, state.index, state.args),
+        local.tbox, local.rbox, seeds, _conjoin, _disjoin, (state.paths, state.index, state.args)
     )
-    facts = {atom: DerivedFact(atom, paths[atom], prob_of) for atom in changed}
-    new = sorted((str(atom), atom) for atom in changed if atom not in parent.derived)
+    new = sorted((str(atom), atom) for atom in changed.difference(before))  # str(atom) is unique
     keys = state.keys
     if new and keys and new[0][0] < keys[-1]:  # new atoms go between old ones: rebuild the order
-        atoms = list(parent.derived)
+        atoms = list(before)
         for key, atom in reversed(new):  # from the last, so that each insert keeps the earlier places
             at = bisect_left(keys, key)
             keys.insert(at, key)
             atoms.insert(at, atom)
         derived = dict.fromkeys(atoms)
-        derived.update(parent.derived)
+        derived.update(before)
     else:
         keys.extend(key for key, _ in new)
-        derived = dict(parent.derived)
-        derived.update((atom, facts[atom]) for _, atom in new)
-    derived.update(facts)  # the facts whose paths changed keep their place
+        derived = dict(before)
+        derived.update(dict.fromkeys(atom for _, atom in new))
+    # the new facts, and those whose paths changed, in the places just given
+    derived.update((atom, DerivedFact(atom, paths[atom], prob_of)) for atom in changed)
     return MergedKB(local, external, mappings, derived, _FixpointState(paths, index, args, keys))
 
 
@@ -445,27 +443,23 @@ def query(
     """Answer a conjunctive query over the merged fact set.
 
     With ``mapped_only`` the purely local derivation paths are ignored,
-    scoring each binding by what the mappings alone support.  Results
-    are sorted by descending probability, then by binding.
+    scoring each binding by what the mappings alone support; a binding
+    that uses a fact with no mapped path is no answer.  The plan reads
+    the merge's fixpoint state (``MergedKB._fixpoint``).  Results are
+    sorted by descending probability, then by binding.
     """
     if not conjuncts:
         raise UnsafeQueryError("query needs at least one conjunct")
     prob_of = {m.mapping_id: m.probability for m in merged.mappings}
-    state = merged._state
-    if state is not None and not state.taken and not mapped_only:  # the merge's own fixpoint
-        base, index, args = state.paths, state.index, state.args
-    else:
-        base = {atom: paths for atom, fact in merged.derived.items()
-                if (paths := fact.paths - LOCAL if mapped_only else fact.paths)}
-        index, args = index_facts(base), None
-
+    state = merged._fixpoint()
     plan = Plan(tuple(conjuncts))
     variables = sorted((v.token, slot) for v, slot in plan.slots.items() if isinstance(v, Variable))
     answers: dict[tuple, QueryAnswer] = {}
-    for vals, seen in plan.rows(index, args):
+    for vals, seen in plan.rows(state.index, state.args):
         key = tuple((token, vals[slot].name) for token, slot in variables)
-        if key not in answers:
-            answers[key] = QueryAnswer(key, _score([base[f] for f in seen], prob_of))
+        clauses = [state.paths[f] - LOCAL if mapped_only else state.paths[f] for f in seen]
+        if key not in answers and all(clauses):  # a fact with no path left answers nothing
+            answers[key] = QueryAnswer(key, _score(clauses, prob_of))
     return sorted(
         answers.values(), key=lambda a: (-a.probability, tuple(str(v) for _, v in a.binding))
     )

@@ -113,23 +113,30 @@ class FragmentKind(Enum):
     FINDING = "finding"
 
 
-def _cycle_nodes(nodes: set[NodeId], edges: set[tuple[NodeId, NodeId]]) -> list[NodeId]:
-    """Nodes on or downstream-of-and-into a cycle, via Kahn elimination."""
-    indegree = {n: 0 for n in nodes}
+def _eliminate(fragment: MFrag) -> tuple[list[NodeId], list[NodeId]]:
+    """Kahn elimination of the fragment graph, smallest ready node first.
+
+    Returns the nodes in the order eliminated, and the sorted nodes it
+    cannot eliminate: those on a cycle or downstream of one, whatever
+    the order.
+    """
+    nodes = set(fragment.nodes).union(*fragment.graph)
+    edges = sorted(fragment.graph)
+    indegree = dict.fromkeys(nodes, 0)
     for _, dst in edges:
         indegree[dst] += 1
-    queue = sorted(n for n, d in indegree.items() if d == 0)
-    remaining = set(nodes)
-    while queue:
-        n = queue.pop()
-        remaining.discard(n)
+    ready = sorted((n for n, d in indegree.items() if d == 0), reverse=True)
+    order: list[NodeId] = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
         for src, dst in edges:
             if src == n:
                 indegree[dst] -= 1
                 if indegree[dst] == 0:
-                    queue.append(dst)
-        queue.sort()
-    return sorted(remaining)
+                    ready.append(dst)
+        ready.sort(reverse=True)
+    return order, sorted(nodes.difference(order))
 
 
 def topological_order(fragment: MFrag) -> list[NodeId]:
@@ -137,25 +144,8 @@ def topological_order(fragment: MFrag) -> list[NodeId]:
 
     Raises ``InvalidFragmentError`` when the graph is cyclic.
     """
-    nodes = set(fragment.nodes)
-    for src, dst in fragment.graph:
-        nodes.update((src, dst))
-    edges = set(fragment.graph)
-    order: list[NodeId] = []
-    indegree = {n: 0 for n in nodes}
-    for _, dst in edges:
-        indegree[dst] += 1
-    ready = sorted((n for n, d in indegree.items() if d == 0), reverse=True)
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for src, dst in sorted(edges):
-            if src == n:
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    ready.append(dst)
-        ready.sort(reverse=True)
-    if len(order) != len(nodes):
+    order, cyclic = _eliminate(fragment)
+    if cyclic:
         raise InvalidFragmentError(f"fragment {fragment.name} graph is cyclic")
     return order
 
@@ -231,7 +221,7 @@ def validate_mfrag(fragment: MFrag) -> list[StructuralError]:
         errors.append(StructuralError(ErrorKind.UNKNOWN_NODE, node, "edge endpoint not declared"))
 
     all_nodes = set(declared) | {n for edge in fragment.graph for n in edge}
-    cyclic = _cycle_nodes(all_nodes, set(fragment.graph))
+    _, cyclic = _eliminate(fragment)
     if cyclic:
         errors.append(StructuralError(ErrorKind.CYCLE_DETECTED, ",".join(cyclic)))
     else:

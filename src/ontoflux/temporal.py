@@ -42,6 +42,8 @@ class Interval:
     end: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise MalformedItemError(f"interval endpoints must be finite, got {self.start} and {self.end}")
         if self.end < self.start:
             raise MalformedItemError(f"interval end {self.end} precedes start {self.start}")
 
@@ -181,8 +183,7 @@ def step_proposition(
     the opposite terminal state is reached.  Terminal states never
     change afterwards, whatever the log says.
     """
-    _check_sorted(log)
-    return prop if prop.terminal else _advance(prop, log, now)
+    return step_all((prop,), log, now)[0]
 
 
 def step_all(

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -168,6 +169,17 @@ def test_closure_cannot_move_backwards():
         close_class(kb, EVENT, now=1.0)
     again = close_class(kb, EVENT, now=2.0)
     assert again.closures[EVENT] == ClosureRecord(EVENT, frozenset(), 2.0)
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf, -1.0])
+def test_closure_rejects_a_time_that_is_not_finite_and_nonnegative(now):
+    with pytest.raises(ValueError, match=str(now)):
+        close_class(KnowledgeBase.empty(), EVENT, now=now)
+    kb = close_class(KnowledgeBase.empty(), EVENT, now=5.0)
+    with contextlib.suppress(ValueError):
+        kb = close_class(kb, EVENT, now=now)  # must record nothing
+    with pytest.raises(ValueError):
+        close_class(kb, EVENT, now=1.0)  # so closing backwards is still rejected
 
 
 def test_closure_sees_facts_added_later():
@@ -535,14 +547,14 @@ def test_new_assertion_extends_the_memo_and_a_known_one_keeps_it():
     earlier = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("a")), 1.0))
     assert earlier.abox[ClassAtom(ACTION, ind("a"))] == 1.0
     assert saturate(earlier) is before
-    # new atoms continue the last computed saturation, seeded with the new
-    # atoms only, and forget it once saturated
+    # new atoms continue the last computed saturation, seeded with the atoms
+    # past that saturation's A-Box only, and forget it once saturated
     b, c = ClassAtom(ACTION, ind("b")), ClassAtom(AGENT, ind("c"))
     grown = assert_item(assert_item(kb, ABoxAssertion(b)), ABoxAssertion(c))
-    assert grown._memo.base is kb._memo
-    assert grown._memo.added == ((c,), ((b,), None))
+    assert grown._memo.base is kb._memo  # by identity: a memo compares as a set
+    assert grown._memo.since == len(kb.abox) and list(grown.abox)[grown._memo.since:] == [b, c]
     assert saturate(grown) == atoms | {b, ClassAtom(EVENT, ind("b")), c}
-    assert grown._memo.base is None and grown._memo.added is None
+    assert grown._memo.base is None
     # the grown KB took the closure over and extended it; the older KB still
     # answers with its own atoms
     assert saturate(kb) is before
@@ -550,6 +562,25 @@ def test_new_assertion_extends_the_memo_and_a_known_one_keeps_it():
     assert entailed_members(kb, EVENT) == {n("a", "i")}
     assert is_member(kb, n("b", "i"), ACTION) is Truth.UNKNOWN
     assert entailed_members(grown, EVENT) == {n("a", "i"), n("b", "i")}
+
+
+def test_an_unsaturated_kb_seeds_its_continuation_with_the_atoms_new_since_the_memo(monkeypatch):
+    kb = assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, ind("a")), 2.0)])
+    saturate(kb)
+    b, c = ClassAtom(ACTION, ind("b")), PropertyAtom(ABOUT, ind("c"), ind("a"))
+    grown = assert_item(kb, ABoxAssertion(b, 3.0))
+    grown = assert_item(grown, ABoxAssertion(ClassAtom(ACTION, ind("a")), 1.0))  # known, at an earlier time
+    grown = assert_item(grown, ABoxAssertion(c, 3.0))
+    seeds = []
+    engine = kb_module.fixpoint
+
+    def recording(tbox, rbox, given, *rest):
+        seeds.append(list(given))
+        return engine(tbox, rbox, given, *rest)
+
+    monkeypatch.setattr(kb_module, "fixpoint", recording)
+    assert saturate(grown) == reference_saturate(grown)
+    assert seeds == [[b, c]]
 
 
 def test_schema_assertion_after_saturation_derives_the_new_consequences():
@@ -580,13 +611,13 @@ def test_assertions_list_class_and_property_atoms_together():
 
 
 def memo_lineage(kb: KnowledgeBase) -> tuple:
-    """What ``kb``'s memo holds or continues: computed, or its base and the atoms added since."""
-    memo, added = kb._memo, []
-    link = memo.added
-    while link is not None:
-        added[:0] = link[0]
-        link = link[1]
-    return memo.closure is not None, memo.base, tuple(added)
+    """What ``kb``'s memo holds or continues: computed, or its base and the atoms added since.
+
+    The base is given by identity, since a memo compares as a set.
+    """
+    memo = kb._memo
+    added = list(kb.abox)[memo.since:] if memo.base is not None else []
+    return memo.closure is not None, id(memo.base), tuple(added)
 
 
 def random_items(rng: random.Random, kb: KnowledgeBase) -> list:
@@ -726,7 +757,7 @@ def test_copies_of_an_atom_are_equal_with_an_equal_hash():
     assert ClassAtom(EVENT, a) < ClassAtom(EVENT, b) and n("A") < n("B")
     with pytest.raises(AttributeError):
         ClassAtom(EVENT, a).concept = ACTION
-    # a saturated KB, whose memo holds its set view weakly, pickles and copies too
+    # a saturated KB, whose memo is its saturation, pickles and copies too
     kb = close_class(assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, a))]),
                      EVENT, now=1.0)
     for clone in (copy.deepcopy(kb), pickle.loads(pickle.dumps(kb))):

@@ -82,6 +82,12 @@ def test_action_record_rejects_non_finite_time(at):
         record(at)
 
 
+@pytest.mark.parametrize("start, end", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_interval_rejects_non_finite_endpoints(start, end):
+    with pytest.raises(MalformedItemError):
+        Interval(start, end)
+
+
 def test_pattern_matches_kind_and_optional_target():
     r = record(1.0, targets=("O2",))
     assert ActionPattern(MERGE).matches(r)
