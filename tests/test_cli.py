@@ -1,6 +1,7 @@
 """Command-line tool: subcommands, exit codes, output formats."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ import ontoflux
 from ontoflux import cli
 from ontoflux.cli import _parse_seed_range, main
 from ontoflux.errors import OntofluxError
-from ontoflux.io import RESULT_FIELDS
+from ontoflux.io import RESULT_FIELDS, parse_mappings, parse_ontology, parse_query
+from ontoflux.merging import merge, query
+from helpers import world_scores
 
 TRAVEL_QUERY = "O1:Event(x) ∧ O1:keyword(x, Sea)"
 
@@ -41,6 +44,24 @@ def test_merge_query_travel_answer(capsys, fixture_path) -> None:
     )
     assert code == 0
     assert out.split("\n")[0] == "x=Trip p=1.000000000"
+
+
+def test_merge_query_scores_hub_products_as_possible_worlds(capsys, fixture_path) -> None:
+    # every mapping reaches the hubs u0 and u1, so L:Q's paths for each are
+    # every L:A mapping with every L:rel mapping: a product of two path sets
+    files = [fixture_path(name) for name in ("wide_small_local.onto", "wide_small_external.onto", "wide_small.map")]
+    local, external = (parse_ontology(path.read_text(encoding="utf-8")) for path in files[:2])
+    mappings = parse_mappings(files[2].read_text(encoding="utf-8"))
+    conjuncts = parse_query("L:Q(x) & L:B(x)")
+    want = {dict(key)["x"].local: p for key, p in world_scores(local, external, mappings, conjuncts).items()}
+    answers = query(merge(local, external, mappings), conjuncts)
+    got = {a.binding[0][1].local: a.probability for a in answers}
+    assert got.keys() == want.keys() and {"u0", "u1"} <= got.keys()
+    for x, p in want.items():
+        assert math.isclose(got[x], p, rel_tol=0.0, abs_tol=1e-12), (x, got[x], p)
+    code, out, _ = run_cli(capsys, "merge-query", *map(str, files), "L:Q(x) & L:B(x)")
+    assert code == 0
+    assert out == "".join(f"x={a.binding[0][1].local} p={a.probability:.9f}\n" for a in answers)
 
 
 def test_merge_query_mapped_only(capsys, fixture_path) -> None:

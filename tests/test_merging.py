@@ -1,5 +1,6 @@
 import copy
 import inspect
+import itertools
 import math
 import pickle
 import random
@@ -276,6 +277,60 @@ def test_exact_scores_equal_possible_worlds_over_random_lineages(seed):
     assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), (clauses, prob_of)
     answers = query(merge(local, external, mappings), conjuncts)
     assert math.isclose(answers[0].probability if answers else 0.0, want, rel_tol=0.0, abs_tol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_product_lineages_score_as_possible_worlds(seed):
+    # a clause whose paths are a product of two or three path sets over
+    # disjoint mapping ids, at times conjoined with one of its own factors
+    # (as a hub's L:B with its L:Q) and with another clause; near-misses
+    # drop one path of the product or add one foreign path to it
+    rng = random.Random(seed)
+    ids = iter(f"m{j}" for j in range(10))
+    factors = []
+    for _ in range(rng.randint(2, 3)):
+        count, size = rng.randint(1, 3), rng.randint(1, 2)  # paths, and ids per path
+        pool = [next(ids) for _ in range(count if size == 1 else min(count + 1, 3))]
+        factors.append(rng.sample([frozenset(c) for c in itertools.combinations(pool, size)], count))
+    product = [frozenset().union(*combo) for combo in itertools.product(*factors)]
+    near = sorted(set().union(*product)) + [next(ids)]
+    kind = rng.choice(["product", "product", "dropped", "foreign"])
+    if kind == "dropped" and len(product) > 1:
+        product.remove(rng.choice(product))
+    elif kind == "foreign":
+        path = frozenset(rng.sample(near, rng.randint(1, 2)))
+        product += [] if path in product else [path]
+    clauses = [product]
+    if rng.random() < 0.7:
+        clauses.append(rng.choice(factors))
+    if rng.random() < 0.4:
+        clauses.append([frozenset(rng.sample(near, rng.randint(1, 2))) for _ in range(rng.randint(1, 2))])
+    used = sorted(set().union(*(path for clause in clauses for path in clause)))
+    prob_of = {m: rng.choice([0.0, 0.25, 0.5, 0.7, 1.0, rng.random()]) for m in used}
+    local, external, mappings = lineage_scenario(clauses, prob_of)
+    conjuncts = [ClassAtom(local_name(f"A{k}"), X) for k in range(len(clauses))]
+    want = world_scores(local, external, mappings, conjuncts).get((("x", EntityName("i", "t")),), 0.0)
+    got = merging._score([frozenset(clause) for clause in clauses], prob_of)
+    assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), (clauses, prob_of)
+    answers = query(merge(local, external, mappings), conjuncts)
+    assert math.isclose(answers[0].probability if answers else 0.0, want, rel_tol=0.0, abs_tol=1e-12)
+
+
+def test_a_product_lineage_scores_without_an_expansion(monkeypatch):
+    # L:A0's paths are each of four a-mappings with each of three r-mappings,
+    # and L:A1's the a-mappings alone: both factor into the any-a and any-r
+    # clauses, which share no mapping, so no expansion is needed
+    monkeypatch.setattr(merging, "SCORING_BUDGET", 0)
+    a = [frozenset({f"a{k}"}) for k in range(4)]
+    r = [frozenset({f"r{j}"}) for j in range(3)]
+    prob_of = {**{f"a{k}": 0.2 + 0.15 * k for k in range(4)}, **{f"r{j}": 0.3 + 0.2 * j for j in range(3)}}
+    local, external, mappings = lineage_scenario([[x | y for x in a for y in r], a], prob_of)
+    merged = merge(local, external, mappings)
+    conjuncts = [ClassAtom(local_name("A0"), X), ClassAtom(local_name("A1"), X)]
+    want = world_scores(local, external, mappings, conjuncts)[(("x", EntityName("i", "t")),)]
+    assert math.isclose(query(merged, conjuncts)[0].probability, want, rel_tol=0.0, abs_tol=1e-12)
+    assert math.isclose(merged.fact(ClassAtom(local_name("A0"), ind("t"))).probability, want, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_merge_scores_no_fact_until_one_is_read(score_calls):
@@ -603,6 +658,31 @@ def test_renames_and_plans_of_every_shape_match_possible_worlds(seed, mapped_onl
     merge(grown, external, mappings, parent=merged)
     assert merged._state.taken
     assert query(merged, conjuncts, mapped_only=mapped_only) == answers
+
+
+def test_queries_on_a_taken_merge_rebuild_its_state_once_without_keys(monkeypatch):
+    local, external, mappings = lineage_scenario(
+        [[frozenset({"m1", "m2"}), frozenset({"m3"})], [frozenset(), frozenset({"m2"})]],
+        {"m1": 0.3, "m2": 0.6, "m3": 0.9},
+    )
+    conjuncts = [ClassAtom(local_name("A0"), X), ClassAtom(local_name("A1"), X)]
+    want = query(merge(local, external, mappings), conjuncts)  # on a state never taken
+    merged = merge(local, external, mappings)
+    merge(assert_item(local, ABoxAssertion(ClassAtom(local_name("M1"), ind("u")))), external, mappings, parent=merged)
+    assert merged._state.taken
+    builds, strs = [], []
+    index = merging.index_facts
+    monkeypatch.setattr(merging, "index_facts", lambda facts: builds.append(facts) or index(facts))
+    for cls in (ClassAtom, PropertyAtom):
+        monkeypatch.setattr(cls, "__str__", lambda atom, s=cls.__str__: strs.append(atom) or s(atom))
+    assert query(merged, conjuncts) == want
+    assert query(merged, conjuncts) == want
+    assert len(builds) == 1 and strs == []
+    # a merge that continues the rebuilt state sorts its facts as a fresh merge does
+    grown = assert_item(local, ABoxAssertion(ClassAtom(local_name("M3"), ind("a"))))
+    assert list(merge(grown, external, mappings, parent=merged).derived.items()) == list(
+        merge(grown, external, mappings).derived.items()
+    )
 
 
 def test_merge_and_query_build_no_atom_by_substitution(monkeypatch):
