@@ -15,8 +15,8 @@ the parent's facts whose paths did not change and sorts only the new
 atoms into the parent's order.  Any other merge continues an empty
 fixpoint with every local fact and every mapped one as seeds, by the
 same code.  A query is one compiled plan over its conjuncts, matched
-against a merge's fixpoint state: the merge's own, or, once a later
-merge has taken that over, one rebuilt from its facts and kept.
+against a merge's fixpoint state: the merge's own, or one rebuilt from
+its facts once a later merge has taken that over.
 
 Each derived atom carries its provenance as a set of derivation paths,
 every path being the set of mapping ids it relied on; that path set is
@@ -26,11 +26,11 @@ purely local derivation and always holds; a mapped path holds when all
 its mappings do, and mappings hold independently.  One exact scorer
 gives a stored fact its probability (one path set) and a conjunctive
 query answer its (one path set per conjunct, all of which must hold).
-Once per scored formula, it first factors each clause whose paths are
-the product of path sets over disjoint mappings (every path one path of
-each, united) into those path sets, as clauses of their own; a formula
-in which no mapping is then in two paths scores in one pass (read-once
-lineage: Sen, Deshpande & Getoor, PVLDB 2010).  Otherwise it splits the
+Once per scored formula, before any expansion, it factors each clause
+whose paths are the product of path sets over disjoint mappings (every
+path one path of each, united) into those path sets, as clauses of
+their own, so that a product lineage scores as its factors (read-once
+lineage: Sen, Deshpande & Getoor, PVLDB 2010).  It then splits the
 formula into parts that share no mapping, and expands what stays
 connected on its most frequent mapping, memoized on the residual
 formula (Shannon expansion; Dalvi & Suciu, VLDB 2004); a branch in
@@ -173,17 +173,16 @@ class DerivedFact:
 class _FixpointState:
     """A merge's fixpoint, for a later merge to continue: each derived
     atom's paths, their predicate and argument indexes and the derived
-    atoms' ``str`` in order (None until a merge continues a rebuilt state).
+    atoms' ``str`` in order.
 
     The first merge that continues it takes it over and extends it in
     place; ``taken`` then tells every merge that held it to rebuild it
-    from its own facts, and to keep the rebuilt state until a merge takes
-    that over in turn.
+    from its own facts.
     """
 
     __slots__ = ("paths", "index", "args", "keys", "taken")
 
-    def __init__(self, paths: dict[Atom, PathSet], index: FactIndex, args: ArgIndex, keys: Optional[list[str]]):
+    def __init__(self, paths: dict[Atom, PathSet], index: FactIndex, args: ArgIndex, keys: list[str]):
         self.paths, self.index, self.args, self.keys, self.taken = paths, index, args, keys, False
 
 
@@ -199,12 +198,11 @@ class MergedKB:
         return self.derived.get(atom)
 
     def _fixpoint(self) -> _FixpointState:
-        """This merge's fixpoint state, rebuilt from its facts and kept if a later merge has taken it over."""
+        """This merge's fixpoint state, rebuilt from its facts if a later merge has taken it over."""
         state = self._state
         if state is None or state.taken:
             paths = {atom: fact.paths for atom, fact in self.derived.items()}
-            state = _FixpointState(paths, index_facts(paths), index_args(paths), None)
-            object.__setattr__(self, "_state", state)
+            state = _FixpointState(paths, index_facts(paths), index_args(paths), [str(atom) for atom in self.derived])
         return state
 
 
@@ -327,28 +325,18 @@ def _score(clauses: Iterable[PathSet], prob_of: dict[str, float], memo: Optional
     A path holds when all its mappings do, mappings hold independently,
     and the local path always holds.  The outermost call first factors
     each clause that is a product of path sets over disjoint mapping ids
-    into those path sets, each its own clause; when no mapping id is then
-    in two paths, the clauses and their paths are all independent and
-    score in one pass.  Otherwise clauses that share no mapping id are
-    independent, and so are such paths of one clause: the former
-    multiply, the latter combine as 1 - prod(1 - p).  What stays
-    connected is expanded on its most frequent mapping (ties by id),
-    memoized on the residual clauses, for at most ``SCORING_BUDGET``
-    expansions per scored formula; factoring is not an expansion.
+    into those path sets, each its own clause (``_factors``); below it,
+    the formula is only split and expanded.  Clauses that share no
+    mapping id are independent, and so are such paths of one clause:
+    the former multiply, the latter combine as 1 - prod(1 - p).  What
+    stays connected is expanded on its most frequent mapping (ties by
+    id), memoized on the residual clauses, for at most
+    ``SCORING_BUDGET`` expansions per scored formula; factoring is not
+    an expansion.
     """
     if memo is None:  # the outermost call
-        clauses = frozenset(
-            part for paths in clauses if _NO_MAPPING not in paths for part in _factors(paths)
-        )
-        ids = [m for paths in clauses for path in paths for m in path]
-        if len(set(ids)) == len(ids):  # what the expansion below scores without expanding, in one pass
-            return math.prod(sorted(
-                _path_probability(next(iter(paths)), prob_of) if len(paths) == 1
-                else _any_holds(_path_probability(path, prob_of) for path in paths)
-                for paths in clauses
-            ))
         try:
-            return _score(clauses, prob_of, {})
+            return _score([part for paths in clauses for part in _factors(paths)], prob_of, {})
         except RecursionError:  # a lineage deeper than Python's stack allows
             raise LineageTooLargeError("exact scoring nests too deep") from None
     clauses = frozenset(paths for paths in clauses if _NO_MAPPING not in paths)
@@ -462,8 +450,6 @@ def merge(
         before, state = {}, _FixpointState({}, {}, {}, [])
     else:
         seeds, before, state = dict.fromkeys(added, LOCAL), parent.derived, parent._fixpoint()
-        if state.keys is None:  # a state rebuilt for queries, which read no key
-            state.keys = [str(atom) for atom in before]
     state.taken = True
     paths, index, args, changed = fixpoint(
         local.tbox, local.rbox, seeds, _conjoin, _disjoin, (state.paths, state.index, state.args)

@@ -660,31 +660,6 @@ def test_renames_and_plans_of_every_shape_match_possible_worlds(seed, mapped_onl
     assert query(merged, conjuncts, mapped_only=mapped_only) == answers
 
 
-def test_queries_on_a_taken_merge_rebuild_its_state_once_without_keys(monkeypatch):
-    local, external, mappings = lineage_scenario(
-        [[frozenset({"m1", "m2"}), frozenset({"m3"})], [frozenset(), frozenset({"m2"})]],
-        {"m1": 0.3, "m2": 0.6, "m3": 0.9},
-    )
-    conjuncts = [ClassAtom(local_name("A0"), X), ClassAtom(local_name("A1"), X)]
-    want = query(merge(local, external, mappings), conjuncts)  # on a state never taken
-    merged = merge(local, external, mappings)
-    merge(assert_item(local, ABoxAssertion(ClassAtom(local_name("M1"), ind("u")))), external, mappings, parent=merged)
-    assert merged._state.taken
-    builds, strs = [], []
-    index = merging.index_facts
-    monkeypatch.setattr(merging, "index_facts", lambda facts: builds.append(facts) or index(facts))
-    for cls in (ClassAtom, PropertyAtom):
-        monkeypatch.setattr(cls, "__str__", lambda atom, s=cls.__str__: strs.append(atom) or s(atom))
-    assert query(merged, conjuncts) == want
-    assert query(merged, conjuncts) == want
-    assert len(builds) == 1 and strs == []
-    # a merge that continues the rebuilt state sorts its facts as a fresh merge does
-    grown = assert_item(local, ABoxAssertion(ClassAtom(local_name("M3"), ind("a"))))
-    assert list(merge(grown, external, mappings, parent=merged).derived.items()) == list(
-        merge(grown, external, mappings).derived.items()
-    )
-
-
 def test_merge_and_query_build_no_atom_by_substitution(monkeypatch):
     calls = []
     counted = kb_module.substitute
