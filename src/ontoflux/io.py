@@ -244,20 +244,6 @@ class _Values:
         return [self.atom(default_ns, pattern, *m.groups()) for m in _ATOM.patterns[0].finditer(span)]
 
 
-def format_name(name: EntityName) -> str:
-    return f"{name.namespace}:{name.local}"
-
-
-def format_term(term: Term) -> str:
-    return term.token if isinstance(term, Variable) else format_name(term.name)
-
-
-def format_atom(atom: Atom) -> str:
-    if isinstance(atom, ClassAtom):
-        return f"{format_name(atom.concept)}({format_term(atom.subject)})"
-    return f"{format_name(atom.prop)}({format_term(atom.subject)}, {format_term(atom.object)})"
-
-
 def parse_ground_atom(text: str, line: int = 1, default_ns: Optional[str] = None) -> Atom:
     m = _ATOM.match(text, 0, line, default_ns)
     _expect_end(m, line)
@@ -329,8 +315,8 @@ def parse_ontology(text: str) -> KnowledgeBase:
 
     for name, line_no in referenced.items():
         if ns is not None and name.namespace == ns and name not in declared:
-            raise UnresolvedNameError(format_name(name), line_no)
-    return assert_all(KnowledgeBase.empty(), items)
+            raise UnresolvedNameError(str(name), line_no)
+    return assert_all(KnowledgeBase(), items)
 
 
 def _format_float(x: float) -> str:
@@ -340,8 +326,9 @@ def _format_float(x: float) -> str:
 def serialize_ontology(kb: KnowledgeBase, namespace: Optional[str] = None) -> str:
     """Render a knowledge base as a document that parses back equal.
 
-    Every name is written fully qualified, so the emitted `namespace`
-    line only picks which names count as local for declaration checks.
+    Every name is written fully qualified, as its ``str``, so the emitted
+    `namespace` line only picks which names count as local for
+    declaration checks.
     """
     predicates: dict[EntityName, str] = {}
     for atom in (*kb.abox, *(atom for rule in kb.rbox for atom in (*rule.body, rule.head))):
@@ -352,18 +339,18 @@ def serialize_ontology(kb: KnowledgeBase, namespace: Optional[str] = None) -> st
 
     lines = [f"namespace {namespace}"]
     for name in sorted(predicates):
-        lines.append(f"{predicates[name]} {format_name(name)}")
+        lines.append(f"{predicates[name]} {name}")
     for ax in sorted(kb.tbox, key=str):
         if isinstance(ax, UnionEquivalence):
-            parts = " | ".join(format_name(p) for p in ax.parts)
-            lines.append(f"union {format_name(ax.whole)} = {parts}")
+            parts = " | ".join(map(str, ax.parts))
+            lines.append(f"union {ax.whole} = {parts}")
         else:  # the keyword, then the fields in the order its statement names them
-            lines.append(" ".join([_KEYWORDS[type(ax)], *map(format_name, vars(ax).values())]))
+            lines.append(" ".join([_KEYWORDS[type(ax)], *map(str, vars(ax).values())]))
     for rule in sorted(kb.rbox, key=lambda r: r.rule_id):
-        body = ", ".join(format_atom(a) for a in rule.body)
-        lines.append(f"rule {rule.rule_id}: {body} -> {format_atom(rule.head)}")
+        body = ", ".join(map(str, rule.body))
+        lines.append(f"rule {rule.rule_id}: {body} -> {rule.head}")
     for atom, at in sorted(kb.abox.items(), key=lambda kv: str(kv[0])):
-        lines.append(f"assert {format_atom(atom)} @ {_format_float(at)}")
+        lines.append(f"assert {atom} @ {_format_float(at)}")
     return "\n".join(lines) + "\n"
 
 
@@ -399,7 +386,7 @@ def parse_mappings(text: str) -> list[Mapping]:
 def serialize_mappings(mappings: Sequence[Mapping]) -> str:
     lines = []
     for m in mappings:
-        line = f"map {m.mapping_id}: {format_atom(m.target)} <- {format_atom(m.source)} ; P({_format_float(m.probability)})"
+        line = f"map {m.mapping_id}: {m.target} <- {m.source} ; P({_format_float(m.probability)})"
         if m.negative_probability is not None:
             line += f" ; N({_format_float(m.negative_probability)})"
         lines.append(line)
@@ -633,30 +620,14 @@ def fmt9(x: float) -> str:
     return f"{float(x):.9g}"
 
 
+# copied as they are; every other field is a float, rounded to 9 significant digits
+_EXACT_FIELDS = ("regime", "base_stock", "seed", "measure_position", "lost_count", "served_count")
+
+
 def make_result_record(config: SimConfig, stats: SimStats, wall_time_s: float) -> dict:
-    return {
-        "regime": config.regime.value,
-        "base_stock": config.base_stock,
-        "demand_rate": float(fmt9(config.demand_rate)),
-        "lead_mu": float(fmt9(config.lead.mu)),
-        "lead_r": float(fmt9(config.lead.r)),
-        "review_period": float(fmt9(config.review_period)),
-        "horizon": float(fmt9(config.horizon)),
-        "warmup": float(fmt9(config.warmup)),
-        "seed": config.seed,
-        "holding": float(fmt9(config.costs.holding)),
-        "lost_penalty": float(fmt9(config.costs.lost_penalty)),
-        "processing": float(fmt9(config.costs.processing)),
-        "measure_position": config.measure_position,
-        "fill_rate": float(fmt9(stats.fill_rate)),
-        "avg_on_hand": float(fmt9(stats.avg_on_hand)),
-        "long_run_avg_cost": float(fmt9(stats.long_run_avg_cost)),
-        "service_time_mean": float(fmt9(stats.service_time_mean)),
-        "service_time_var": float(fmt9(stats.service_time_var)),
-        "lost_count": stats.lost_count,
-        "served_count": stats.served_count,
-        "wall_time_s": float(fmt9(wall_time_s)),
-    }
+    values = {**vars(config), **vars(config.costs), **vars(stats), "regime": config.regime.value,
+              "lead_mu": config.lead.mu, "lead_r": config.lead.r, "wall_time_s": wall_time_s}
+    return {f: values[f] if f in _EXACT_FIELDS else float(fmt9(values[f])) for f in RESULT_FIELDS}
 
 
 def _cell(value) -> str:

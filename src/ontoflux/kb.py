@@ -46,7 +46,10 @@ fresh memo, which seeds the fixpoint with the whole A-Box.
 Names, terms, atoms and assertions hash once, at construction, since
 every dict and set the engine keeps hashes them; their constructors are
 written out, not generated.  Pickling and copying rebuild them from
-their fields, so a cached hash never crosses a process.
+their fields, so a cached hash never crosses a process.  The ``str`` of
+a name, term or atom is its document text (``O1:Event``, ``i:Trip``,
+``O1:keyword(i:Trip, y)``): ``io`` writes documents and the monitor
+writes its log lines with it, and the parsers read it back.
 
 Queries are three-valued.  Membership that can be derived is True;
 membership in a class whose extension has been explicitly closed is
@@ -379,10 +382,6 @@ class KnowledgeBase:
     closures: dict[EntityName, ClosureRecord] = field(default_factory=dict)
     _memo: "_Memo" = field(default_factory=lambda: _Memo(), compare=False, repr=False)
 
-    @staticmethod
-    def empty() -> "KnowledgeBase":
-        return KnowledgeBase()
-
     def assertions(self) -> list[ABoxAssertion]:
         """The A-Box in ``str(atom)`` order (class and property atoms do not compare)."""
         return [ABoxAssertion(a, self.abox[a]) for a in sorted(self.abox, key=str)]
@@ -590,31 +589,6 @@ class Plan:
             if not rows:
                 break
         return rows
-
-
-def match_body(
-    body: tuple[Atom, ...],
-    index: FactIndex,
-    delta: FactIndex | None = None,
-    args: ArgIndex | None = None,
-) -> list[dict]:
-    """All variable bindings under which every body atom matches an indexed fact.
-
-    With ``delta`` (the facts new or changed in the last round, also in
-    ``index``) only the bindings that use a delta fact, each once: one
-    plan per body position matches that position to ``delta`` first,
-    and the positions before it to facts outside ``delta``.  ``args``,
-    the argument index of the facts in ``index``, lets a body atom with
-    a bound argument read only the facts that have it.  A binding is a
-    dict from each variable to its individual; ``fixpoint`` reads the
-    plans' rows directly.
-    """
-    plans = [Plan(body)] if delta is None else [Plan(body, (), i) for i in range(len(body))]
-    out = []
-    for plan in plans:
-        variables = [(v, slot) for v, slot in plan.slots.items() if isinstance(v, Variable)]
-        out += [{v: vals[slot] for v, slot in variables} for vals, _ in plan.rows(index, args, delta)]
-    return out
 
 
 def _tbox_heads(tbox: Iterable[TBoxAxiom]):

@@ -50,7 +50,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .errors import (
     LineageTooLargeError,
@@ -162,10 +162,6 @@ class DerivedFact:
     def __reduce__(self):
         return DerivedFact, (self.atom, self.paths, self._prob_of)
 
-    @property
-    def local(self) -> bool:
-        return frozenset() in self.paths
-
     def mapping_ids(self) -> frozenset[str]:
         return frozenset(m for path in self.paths for m in path)
 
@@ -193,9 +189,6 @@ class MergedKB:
     mappings: tuple[Mapping, ...]
     derived: dict[Atom, DerivedFact] = field(default_factory=dict)
     _state: Optional[_FixpointState] = field(default=None, compare=False, repr=False)
-
-    def fact(self, atom: Atom) -> Optional[DerivedFact]:
-        return self.derived.get(atom)
 
     def _fixpoint(self) -> _FixpointState:
         """This merge's fixpoint state, rebuilt from its facts if a later merge has taken it over."""
@@ -475,14 +468,11 @@ def merge(
 
 @dataclass(frozen=True)
 class QueryAnswer:
-    """One binding of a query and its exact probability; ``approximate`` is always False."""
+    """One binding of a query and its exact probability; no answer is approximate."""
 
     binding: tuple[tuple[str, EntityName], ...]
     probability: float
-    approximate: bool = False
-
-    def as_dict(self) -> dict[str, EntityName]:
-        return dict(self.binding)
+    approximate: ClassVar[bool] = False
 
 
 def query(

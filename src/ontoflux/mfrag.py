@@ -185,7 +185,7 @@ def _validate_distribution(
                 )
             )
             continue
-        if any(p < 0 or p > 1 for p in row):
+        if not all(0 <= p <= 1 for p in row):  # false for NaN too
             errors.append(
                 StructuralError(ErrorKind.PROBABILITY_OUT_OF_RANGE, dist.node, ",".join(combo))
             )
@@ -266,17 +266,15 @@ def validate_mtheory(theory: MTheory) -> list[StructuralError]:
             errors.append(
                 StructuralError(err.kind, f"{fragment.name}.{err.subject}", err.detail)
             )
-    seen: dict[NodeId, str] = {}
+    home = theory.home()
     for fragment in theory.fragments:
         for rv in sorted(fragment.agents):
-            if rv in seen and seen[rv] != fragment.name:
+            if home[rv] != fragment.name:
                 errors.append(
                     StructuralError(
-                        ErrorKind.DUPLICATE_HOME, rv, f"resident in {seen[rv]} and {fragment.name}"
+                        ErrorKind.DUPLICATE_HOME, rv, f"resident in {home[rv]} and {fragment.name}"
                     )
                 )
-            else:
-                seen.setdefault(rv, fragment.name)
     return errors
 
 

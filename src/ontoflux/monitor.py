@@ -150,9 +150,7 @@ def tick(
     pending_events = tuple(e for e in state.pending_events if e.asserted_at > now)
     kb = assert_all(kb, due_events)
     for event in due_events:
-        log.append(
-            f"tick={n} step=a detail=assert {textio.format_atom(event.atom)} @ {_format_time(event.asserted_at)}"
-        )
+        log.append(f"tick={n} step=a detail=assert {event.atom} @ {_format_time(event.asserted_at)}")
 
     # (b) evaluate at the new time: consume due actions, step propositions
     due_actions = sorted(
@@ -163,13 +161,12 @@ def tick(
     for action in due_actions:
         targets = ",".join(action.targets)
         log.append(
-            f"tick={n} step=b detail=action {action.action_id} {textio.format_name(action.kind)} "
-            f"by {textio.format_name(action.actor)} @ {_format_time(action.at)} targets={targets}"
+            f"tick={n} step=b detail=action {action.action_id} {action.kind} "
+            f"by {action.actor} @ {_format_time(action.at)} targets={targets}"
         )
         if is_member(kb, action.actor, agent_class) is not Truth.TRUE:
             log.append(
-                f"tick={n} step=b detail=warn actor {textio.format_name(action.actor)} "
-                f"not entailed in {textio.format_name(agent_class)}"
+                f"tick={n} step=b detail=warn actor {action.actor} not entailed in {agent_class}"
             )
     action_log = state.action_log + tuple(due_actions)
     propositions = tuple(step_all(state.propositions, due_actions, now))
@@ -197,9 +194,7 @@ def tick(
     for concept in state.closed_concepts:
         kb = close_class(kb, concept, now)
         members = kb.closures[concept].members
-        log.append(
-            f"tick={n} step=d detail=close {textio.format_name(concept)} members={len(members)}"
-        )
+        log.append(f"tick={n} step=d detail=close {concept} members={len(members)}")
 
     # (e) commit the clock
     log.append(f"tick={n} step=e detail=clock {_format_time(now)}")

@@ -165,8 +165,8 @@ def adjust_exogenous(prev_delivery: float, t_n: float, drawn: float) -> tuple[fl
 
 def erlang_b(servers: int, offered_load: float) -> float:
     """Loss probability of an M/G/s/s system via the stable recursion."""
-    if servers < 0 or offered_load < 0:
-        raise InvalidConfigError("servers and offered load must be nonnegative")
+    if not isinstance(servers, numbers.Integral) or servers < 0 or not 0 <= offered_load < math.inf:
+        raise InvalidConfigError(f"need integer servers >= 0 and a finite load >= 0, got {servers} and {offered_load}")
     b = 1.0
     for k in range(1, servers + 1):
         b = offered_load * b / (k + offered_load * b)

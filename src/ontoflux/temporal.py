@@ -33,6 +33,10 @@ from .kb import (
 class Instant:
     at: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.at):
+            raise MalformedItemError(f"an instant must be finite, got {self.at}")
+
 
 @dataclass(frozen=True, order=True)
 class Interval:
@@ -49,10 +53,6 @@ class Interval:
 
     def contains(self, t: float) -> bool:
         return self.start <= t <= self.end
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class TemporalKind(Enum):

@@ -332,6 +332,16 @@ def test_monitor_runs_are_byte_identical(capsys, fixture_path, tmp_path) -> None
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_monitor_log_matches_its_golden_bytes(capsys, fixture_path, tmp_path) -> None:
+    # the golden log is fixed text that no code here writes, so a change in how
+    # names, atoms or times write themselves into log lines shows as a diff
+    out = tmp_path / "monitor.log"
+    code, _, _ = run_cli(capsys, "monitor", str(fixture_path("monitor_base.onto")),
+                         str(fixture_path("monitor_script.evt")), "--close", "up:Event", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == fixture_path("golden/monitor_script.log").read_bytes()
+
+
 def test_repeated_calls_in_one_process_see_only_their_own_arguments(capsys, fixture_path) -> None:
     monitor = ["monitor", str(fixture_path("monitor_base.onto")), str(fixture_path("monitor_script.evt")),
                "--ticks", "50"]

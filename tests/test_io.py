@@ -20,8 +20,6 @@ from ontoflux.io import (
     INSTANCE_NAMESPACE,
     RESULT_FIELDS,
     fmt9,
-    format_atom,
-    format_name,
     format_result_csv,
     format_result_json,
     make_result_record,
@@ -90,7 +88,7 @@ def test_comments_and_blank_lines_ignored() -> None:
 
 
 def test_empty_document_with_namespace_only() -> None:
-    assert parse_ontology("namespace O1\n") == KnowledgeBase.empty()
+    assert parse_ontology("namespace O1\n") == KnowledgeBase()
 
 
 def test_forward_references_allowed() -> None:
@@ -192,15 +190,27 @@ def test_a_parse_builds_each_name_and_individual_once(parse, text) -> None:
     assert not {id(v) for v in first} & {id(v) for v in second}
 
 
+@pytest.mark.parametrize("name", ["travel_local.onto", "travel_external.onto", "travel.map"])
+def test_serializers_write_their_golden_bytes(fixture_path, name) -> None:
+    # the golden files are fixed text that no code here writes, so a change in
+    # how names, atoms or numbers write themselves into documents shows as a diff
+    text = fixture_path(name).read_text()
+    if name.endswith(".map"):
+        written = serialize_mappings(parse_mappings(text))
+    else:
+        written = serialize_ontology(parse_ontology(text))
+    assert written.encode() == fixture_path(f"golden/{name}").read_bytes()
+
+
 def test_format_atom_round_trips_through_parser() -> None:
     atom = PropertyAtom(
         name("O1", "keyword"),
         Individual(name(INSTANCE_NAMESPACE, "Trip")),
         Individual(name(INSTANCE_NAMESPACE, "Sea")),
     )
-    assert format_atom(atom) == "O1:keyword(i:Trip, i:Sea)"
-    assert parse_ground_atom(format_atom(atom)) == atom
-    assert format_name(name("O1", "Event")) == "O1:Event"
+    assert str(atom) == "O1:keyword(i:Trip, i:Sea)"
+    assert parse_ground_atom(str(atom)) == atom
+    assert str(name("O1", "Event")) == "O1:Event"
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,10 @@
 """The statement-pattern parsers against the scanner-based reference parsers.
 
 Every entry point of ``ontoflux.io`` is run next to its counterpart in
-``helpers`` on valid documents and on copies mutated with the grammar's
-own symbols.  Each pair must return equal values (and, for knowledge
-bases, the same A-Box order) or raise the same exception with the same
-message, line, column, expected tokens and found token.
+``reference_parsers`` on valid documents and on copies mutated with the
+grammar's own symbols.  Each pair must return equal values (and, for
+knowledge bases, the same A-Box order) or raise the same exception with
+the same message, line, column, expected tokens and found token.
 """
 
 import functools
@@ -26,7 +26,7 @@ from ontoflux.io import (
 )
 from ontoflux.kb import KnowledgeBase
 
-import helpers
+import reference_parsers
 from helpers import random_kb
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -150,7 +150,7 @@ def _documents(kind: str, seed: int) -> list[str]:
         return [serialize_ontology(random_kb(rng)), *ONTOLOGY_EXTRAS, *_fixtures(".onto")]
     if kind == "mappings":
         text = _mapping_document(rng)
-        return [text, serialize_mappings(helpers.reference_parse_mappings(text)), *_fixtures(".map")]
+        return [text, serialize_mappings(reference_parsers.reference_parse_mappings(text)), *_fixtures(".map")]
     if kind == "fragments":
         return [_fragment_document(rng), *FRAGMENTS, *_fixtures(".mth")]
     if kind == "sim_config":
@@ -164,17 +164,17 @@ def _documents(kind: str, seed: int) -> list[str]:
 
 
 PARSERS = {
-    "ontology": (parse_ontology, helpers.reference_parse_ontology),
-    "mappings": (parse_mappings, helpers.reference_parse_mappings),
-    "fragments": (parse_fragments, helpers.reference_parse_fragments),
-    "sim_config": (parse_sim_config, helpers.reference_parse_sim_config),
-    "events": (parse_events, helpers.reference_parse_events),
-    "query": (parse_query, helpers.reference_parse_query),
+    "ontology": (parse_ontology, reference_parsers.reference_parse_ontology),
+    "mappings": (parse_mappings, reference_parsers.reference_parse_mappings),
+    "fragments": (parse_fragments, reference_parsers.reference_parse_fragments),
+    "sim_config": (parse_sim_config, reference_parsers.reference_parse_sim_config),
+    "events": (parse_events, reference_parsers.reference_parse_events),
+    "query": (parse_query, reference_parsers.reference_parse_query),
     "query_ns": (functools.partial(parse_query, default_ns="O1"),
-                 functools.partial(helpers.reference_parse_query, default_ns="O1")),
-    "ground_atom": (parse_ground_atom, helpers.reference_parse_ground_atom),
+                 functools.partial(reference_parsers.reference_parse_query, default_ns="O1")),
+    "ground_atom": (parse_ground_atom, reference_parsers.reference_parse_ground_atom),
     "ground_atom_ns": (functools.partial(parse_ground_atom, line=3, default_ns="O1"),
-                       functools.partial(helpers.reference_parse_ground_atom, line=3, default_ns="O1")),
+                       functools.partial(reference_parsers.reference_parse_ground_atom, line=3, default_ns="O1")),
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ontoflux
 import ontoflux.kb as kb_module
-from helpers import match_rule_body, random_assertion, random_kb, reference_saturate
+from helpers import match_body, match_rule_body, random_assertion, random_kb, reference_saturate
 from ontoflux.errors import MalformedItemError
 from ontoflux.kb import (
     ABoxAssertion,
@@ -47,7 +47,6 @@ from ontoflux.kb import (
     index_facts,
     is_ground,
     is_member,
-    match_body,
     saturate,
 )
 
@@ -66,7 +65,7 @@ ABOUT = n("about")
 
 def test_subclass_propagates_membership():
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, ind("move")))],
     )
     assert ClassAtom(EVENT, ind("move")) in saturate(kb)
@@ -75,7 +74,7 @@ def test_subclass_propagates_membership():
 
 def test_union_feeds_whole_but_not_parts():
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [
             UnionEquivalence(ENTITY, (EVENT, AGENT)),
             ABoxAssertion(ClassAtom(AGENT, ind("bot"))),
@@ -89,7 +88,7 @@ def test_union_feeds_whole_but_not_parts():
 
 def test_domain_and_range_type_the_arguments():
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [
             PropertyDomain(ABOUT, EVENT),
             PropertyRange(ABOUT, n("Topic")),
@@ -108,7 +107,7 @@ def test_horn_rule_fires_only_on_known_individuals():
         ClassAtom(n("Maritime"), x),
     )
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [
             rule,
             ABoxAssertion(ClassAtom(EVENT, ind("trip"))),
@@ -131,7 +130,7 @@ def test_unsafe_rule_is_rejected():
 
 def test_disjointness_violation_found_through_inference():
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [
             SubClassOf(ACTION, EVENT),
             DisjointClasses(AGENT, EVENT),
@@ -153,7 +152,7 @@ def test_disjointness_needs_distinct_classes():
 
 def test_membership_is_three_valued():
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [ABoxAssertion(ClassAtom(EVENT, ind("trip")))],
     )
     assert is_member(kb, n("trip", "i"), EVENT) is Truth.TRUE
@@ -164,7 +163,7 @@ def test_membership_is_three_valued():
 
 
 def test_closure_cannot_move_backwards():
-    kb = close_class(KnowledgeBase.empty(), EVENT, now=2.0)
+    kb = close_class(KnowledgeBase(), EVENT, now=2.0)
     with pytest.raises(ValueError):
         close_class(kb, EVENT, now=1.0)
     again = close_class(kb, EVENT, now=2.0)
@@ -174,8 +173,8 @@ def test_closure_cannot_move_backwards():
 @pytest.mark.parametrize("now", [math.nan, math.inf, -1.0])
 def test_closure_rejects_a_time_that_is_not_finite_and_nonnegative(now):
     with pytest.raises(ValueError, match=str(now)):
-        close_class(KnowledgeBase.empty(), EVENT, now=now)
-    kb = close_class(KnowledgeBase.empty(), EVENT, now=5.0)
+        close_class(KnowledgeBase(), EVENT, now=now)
+    kb = close_class(KnowledgeBase(), EVENT, now=5.0)
     with contextlib.suppress(ValueError):
         kb = close_class(kb, EVENT, now=now)  # must record nothing
     with pytest.raises(ValueError):
@@ -183,7 +182,7 @@ def test_closure_rejects_a_time_that_is_not_finite_and_nonnegative(now):
 
 
 def test_closure_sees_facts_added_later():
-    kb = close_class(KnowledgeBase.empty(), EVENT, now=0.0)
+    kb = close_class(KnowledgeBase(), EVENT, now=0.0)
     kb = assert_item(kb, ABoxAssertion(ClassAtom(EVENT, ind("late")), 3.0))
     assert is_member(kb, n("late", "i"), EVENT) is Truth.TRUE
     kb = close_class(kb, EVENT, now=3.0)
@@ -192,7 +191,7 @@ def test_closure_sees_facts_added_later():
 
 def test_reassertion_keeps_earliest_time():
     atom = ClassAtom(EVENT, ind("trip"))
-    kb = assert_item(KnowledgeBase.empty(), ABoxAssertion(atom, 5.0))
+    kb = assert_item(KnowledgeBase(), ABoxAssertion(atom, 5.0))
     kb = assert_item(kb, ABoxAssertion(atom, 2.0))
     kb = assert_item(kb, ABoxAssertion(atom, 9.0))
     assert kb.abox[atom] == 2.0
@@ -201,7 +200,7 @@ def test_reassertion_keeps_earliest_time():
 def test_all_values_from_violation_requires_closed_filler():
     axiom = AllValuesFrom(EVENT, n("keyword"), n("Subject"))
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [
             axiom,
             ABoxAssertion(ClassAtom(EVENT, ind("trip"))),
@@ -347,7 +346,7 @@ LINK = n("link")
 def test_join_binds_a_repeated_variable_once():
     loop = HornRule("self", (PropertyAtom(LINK, X, X),), ClassAtom(n("Loop"), X))
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [
             loop,
             ABoxAssertion(PropertyAtom(LINK, ind("a"), ind("a"))),
@@ -361,7 +360,7 @@ def test_join_binds_a_repeated_variable_once():
 def test_join_matches_a_constant_individual():
     body = (ClassAtom(EVENT, X), PropertyAtom(ABOUT, X, ind("sea")))
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [
             HornRule("maritime", body, ClassAtom(n("Maritime"), X)),
             ABoxAssertion(ClassAtom(EVENT, ind("trip"))),
@@ -386,7 +385,7 @@ def test_join_fires_when_only_the_last_conjunct_is_new():
 
     # D(b) is derived in the first round, so the rule fires on it in the second
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [HornRule("r", body, ClassAtom(n("H"), X)), SubClassOf(n("C"), n("D"))]
         + [ABoxAssertion(a) for a in old]
         + [ABoxAssertion(ClassAtom(n("C"), ind("b")))],
@@ -474,7 +473,7 @@ def test_indexed_joins_give_the_bindings_of_a_plain_scan(seed):
 
 
 def test_memoized_saturation_follows_assertions_and_closures():
-    kb = assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT)])
+    kb = assert_all(KnowledgeBase(), [SubClassOf(ACTION, EVENT)])
     assert saturate(kb) == frozenset()
     grown = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("move"))))
     assert ClassAtom(EVENT, ind("move")) in saturate(grown)
@@ -485,7 +484,7 @@ def test_memoized_saturation_follows_assertions_and_closures():
     closed = close_class(grown, EVENT, now=1.0)
     fresh = close_class(
         assert_all(
-            KnowledgeBase.empty(),
+            KnowledgeBase(),
             [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, ind("move")))],
         ),
         EVENT,
@@ -539,7 +538,7 @@ def test_tbox_and_rbox_assertions_after_saturation_start_afresh(seed):
 
 
 def test_new_assertion_extends_the_memo_and_a_known_one_keeps_it():
-    kb = assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT)])
+    kb = assert_all(KnowledgeBase(), [SubClassOf(ACTION, EVENT)])
     kb = assert_item(kb, ABoxAssertion(ClassAtom(ACTION, ind("a")), 2.0))
     before = saturate(kb)
     atoms = frozenset(before)
@@ -565,7 +564,7 @@ def test_new_assertion_extends_the_memo_and_a_known_one_keeps_it():
 
 
 def test_an_unsaturated_kb_seeds_its_continuation_with_the_atoms_new_since_the_memo(monkeypatch):
-    kb = assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, ind("a")), 2.0)])
+    kb = assert_all(KnowledgeBase(), [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, ind("a")), 2.0)])
     saturate(kb)
     b, c = ClassAtom(ACTION, ind("b")), PropertyAtom(ABOUT, ind("c"), ind("a"))
     grown = assert_item(kb, ABoxAssertion(b, 3.0))
@@ -585,7 +584,7 @@ def test_an_unsaturated_kb_seeds_its_continuation_with_the_atoms_new_since_the_m
 
 def test_schema_assertion_after_saturation_derives_the_new_consequences():
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [ABoxAssertion(ClassAtom(ACTION, ind("a"))), ABoxAssertion(PropertyAtom(ABOUT, ind("a"), ind("b")))],
     )
     assert saturate(kb) == set(kb.abox)
@@ -600,11 +599,11 @@ def test_schema_assertion_after_saturation_derives_the_new_consequences():
 
 def test_assertions_list_class_and_property_atoms_together():
     kb = assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [ABoxAssertion(PropertyAtom(ABOUT, ind("a"), ind("b")), 1.0), ABoxAssertion(ClassAtom(EVENT, ind("a")))],
     )
     assert [str(a.atom) for a in kb.assertions()] == ["O:Event(i:a)", "O:about(i:a, i:b)"]
-    assert assert_all(KnowledgeBase.empty(), kb.assertions()) == kb
+    assert assert_all(KnowledgeBase(), kb.assertions()) == kb
 
 
 # --- one-pass bulk assertion ---------------------------------------------------
@@ -654,7 +653,7 @@ def test_assert_all_equals_asserting_one_by_one(seed):
 
 
 def test_assert_all_copies_the_abox_once_and_shares_it_when_nothing_changes():
-    kb = assert_all(KnowledgeBase.empty(), [ABoxAssertion(ClassAtom(EVENT, ind("a")), 1.0)])
+    kb = assert_all(KnowledgeBase(), [ABoxAssertion(ClassAtom(EVENT, ind("a")), 1.0)])
     assert assert_all(kb, [ABoxAssertion(ClassAtom(EVENT, ind("a")), 2.0)]) is kb
     typed = assert_all(kb, [SubClassOf(EVENT, ENTITY)])
     assert typed.abox is kb.abox and typed._memo is not kb._memo
@@ -709,7 +708,7 @@ def test_a_parent_saturated_before_its_children_keeps_its_answers(seed):
 
 
 def test_a_closure_record_keeps_the_members_it_was_closed_with():
-    kb = close_class(assert_item(KnowledgeBase.empty(), ABoxAssertion(ClassAtom(EVENT, ind("a")))), EVENT, now=1.0)
+    kb = close_class(assert_item(KnowledgeBase(), ABoxAssertion(ClassAtom(EVENT, ind("a")))), EVENT, now=1.0)
     record = kb.closures[EVENT]
     grown = assert_item(kb, ABoxAssertion(ClassAtom(EVENT, ind("b")), 2.0))
     assert is_member(grown, n("b", "i"), EVENT) is Truth.TRUE  # extends the member set the record reads
@@ -758,7 +757,7 @@ def test_copies_of_an_atom_are_equal_with_an_equal_hash():
     with pytest.raises(AttributeError):
         ClassAtom(EVENT, a).concept = ACTION
     # a saturated KB, whose memo is its saturation, pickles and copies too
-    kb = close_class(assert_all(KnowledgeBase.empty(), [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, a))]),
+    kb = close_class(assert_all(KnowledgeBase(), [SubClassOf(ACTION, EVENT), ABoxAssertion(ClassAtom(ACTION, a))]),
                      EVENT, now=1.0)
     for clone in (copy.deepcopy(kb), pickle.loads(pickle.dumps(kb))):
         assert clone == kb and repr(clone) == repr(kb)

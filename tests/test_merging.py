@@ -66,7 +66,7 @@ def class_mapping(mid: str, target: str, source: str, p: float, **kw) -> Mapping
 
 
 def kb_of(*items) -> KnowledgeBase:
-    return assert_all(KnowledgeBase.empty(), items)
+    return assert_all(KnowledgeBase(), items)
 
 
 def test_mapping_validation():
@@ -92,9 +92,8 @@ def test_local_fact_dominates_every_mapping():
     local = kb_of(ABoxAssertion(ClassAtom(local_name("A"), ind("t"))))
     external = kb_of(ABoxAssertion(ClassAtom(ext_name("B"), ind("t"))))
     merged = merge(local, external, [class_mapping("m1", "A", "B", 0.3)])
-    fact = merged.fact(ClassAtom(local_name("A"), ind("t")))
+    fact = merged.derived.get(ClassAtom(local_name("A"), ind("t")))
     assert fact.probability == 1.0
-    assert fact.local
     assert frozenset() in fact.paths and frozenset({"m1"}) in fact.paths
 
 
@@ -128,7 +127,7 @@ def test_dominated_paths_are_dropped():
         external,
         [class_mapping("m1", "A", "B", 0.9), class_mapping("m2", "D", "E", 0.5)],
     )
-    fact = merged.fact(ClassAtom(local_name("C"), ind("t")))
+    fact = merged.derived.get(ClassAtom(local_name("C"), ind("t")))
     assert fact.paths == frozenset({frozenset({"m1"})})
     assert fact.probability == 0.9
 
@@ -144,7 +143,7 @@ def test_two_independent_routes_combine_by_noisy_or():
         external,
         [class_mapping("m1", "A", "B", 0.5), class_mapping("m2", "C", "D", 0.5)],
     )
-    fact = merged.fact(ClassAtom(local_name("C"), ind("t")))
+    fact = merged.derived.get(ClassAtom(local_name("C"), ind("t")))
     assert fact.probability == 0.75
 
 
@@ -158,7 +157,7 @@ def test_overlapping_paths_score_exactly():
     )
     external = kb_of(*[ABoxAssertion(ClassAtom(ext_name(f"E{k}"), ind("t"))) for k in range(3)])
     mappings = [class_mapping(f"m{k + 1}", name, f"E{k}", 0.5) for k, name in enumerate("ABC")]
-    fact = merge(local, external, mappings).fact(ClassAtom(local_name("D"), ind("t")))
+    fact = merge(local, external, mappings).derived.get(ClassAtom(local_name("D"), ind("t")))
     assert fact.paths == frozenset({frozenset({"m1", "m2"}), frozenset({"m1", "m3"})})
     assert fact.probability == 0.375
     assert fact.probability == world_scores(local, external, mappings, [fact.atom])[()]
@@ -189,10 +188,10 @@ def test_lineage_over_many_mappings_matches_its_closed_form():
     merged = merge(local, external, mappings)
     support_a = 1.0 - math.prod(1.0 - p for p in p_a)
     support_rel = 1.0 - math.prod(1.0 - p for p in p_rel)
-    fact = merged.fact(ClassAtom(local_name("Q"), ind("t")))
+    fact = merged.derived.get(ClassAtom(local_name("Q"), ind("t")))
     assert len(fact.paths) == 160
     assert math.isclose(fact.probability, support_a * support_rel, rel_tol=0.0, abs_tol=1e-12)
-    assert math.isclose(merged.fact(ClassAtom(local_name("B"), ind("t"))).probability, support_a, abs_tol=1e-12)
+    assert math.isclose(merged.derived.get(ClassAtom(local_name("B"), ind("t"))).probability, support_a, abs_tol=1e-12)
     # Q(t) implies B(t), so the conjunction scores as Q(t) alone
     answers = query(merged, [ClassAtom(local_name("Q"), X), ClassAtom(local_name("B"), X)])
     assert [a.binding for a in answers] == [(("x", EntityName("i", "t")),)]
@@ -330,7 +329,7 @@ def test_a_product_lineage_scores_without_an_expansion(monkeypatch):
     conjuncts = [ClassAtom(local_name("A0"), X), ClassAtom(local_name("A1"), X)]
     want = world_scores(local, external, mappings, conjuncts)[(("x", EntityName("i", "t")),)]
     assert math.isclose(query(merged, conjuncts)[0].probability, want, rel_tol=0.0, abs_tol=1e-12)
-    assert math.isclose(merged.fact(ClassAtom(local_name("A0"), ind("t"))).probability, want, rel_tol=0.0, abs_tol=1e-12)
+    assert math.isclose(merged.derived.get(ClassAtom(local_name("A0"), ind("t"))).probability, want, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_merge_scores_no_fact_until_one_is_read(score_calls):
@@ -343,7 +342,7 @@ def test_merge_scores_no_fact_until_one_is_read(score_calls):
     assert score_calls == []
 
     want = world_atom_probabilities(local, external, mappings)
-    fact = merged.fact(ClassAtom(local_name("A0"), ind("t")))
+    fact = merged.derived.get(ClassAtom(local_name("A0"), ind("t")))
     first = fact.probability
     assert score_calls
     assert math.isclose(first, want[fact.atom], rel_tol=0.0, abs_tol=1e-12)
@@ -381,9 +380,9 @@ def test_an_oversize_stored_lineage_raises_when_its_probability_is_read(monkeypa
         {"m1": 0.5, "m2": 0.6, "m3": 0.7},
     )
     merged = merge(local, external, mappings)
-    assert merged.fact(ClassAtom(local_name("A1"), ind("t"))).probability == 0.6
+    assert merged.derived.get(ClassAtom(local_name("A1"), ind("t"))).probability == 0.6
     with pytest.raises(LineageTooLargeError):
-        merged.fact(ClassAtom(local_name("A0"), ind("t"))).probability
+        merged.derived.get(ClassAtom(local_name("A0"), ind("t"))).probability
 
     files = [tmp_path / name for name in ("local.onto", "external.onto", "mappings.map")]
     files[0].write_text(serialize_ontology(local), encoding="utf-8")
@@ -439,7 +438,7 @@ def test_ground_query_answers_with_empty_binding():
     external = kb_of(ABoxAssertion(ClassAtom(ext_name("B"), ind("t"))))
     merged = merge(local, external, [class_mapping("m1", "A", "B", 0.7)])
     answers = query(merged, [ClassAtom(local_name("A"), ind("t"))])
-    assert answers == [type(answers[0])((), 0.7, False)]
+    assert answers == [type(answers[0])((), 0.7)] and not answers[0].approximate
 
 
 # --- randomized scenarios against the possible-worlds oracle ---------------
@@ -509,7 +508,7 @@ def test_extra_mappings_never_lower_fact_probabilities(seed):
     smaller = merge(local, external, mappings)
     bigger = merge(local, external, mappings + [extra])
     for atom, fact in smaller.derived.items():
-        grown = bigger.fact(atom)
+        grown = bigger.derived.get(atom)
         assert grown is not None
         assert grown.probability >= fact.probability - 1e-15
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -94,6 +95,13 @@ def test_row_probabilities_must_lie_in_unit_interval():
     frag = minimal(distributions={"n1": LocalDistribution("n1", (), {(): (1.25, -0.25)})})
     errs = validate_mfrag(frag)
     assert errs == [StructuralError(ErrorKind.PROBABILITY_OUT_OF_RANGE, "n1", "")]
+
+
+@pytest.mark.parametrize("row", [(math.nan, math.nan), (math.nan, 0.5), (math.inf, -math.inf)])
+def test_a_row_entry_that_is_not_a_number_is_out_of_range(row):
+    # a NaN entry fails both `p < 0` and `p > 1`, and makes the row's sum NaN
+    frag = minimal(distributions={"n1": LocalDistribution("n1", (), {(): row})})
+    assert validate_mfrag(frag) == [StructuralError(ErrorKind.PROBABILITY_OUT_OF_RANGE, "n1", "")]
 
 
 def test_row_length_must_match_possible_values():

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ontoflux.kb
 
@@ -8,7 +11,7 @@ from helpers import reference_saturate, world_atom_probabilities
 
 from ontoflux import monitor
 from ontoflux.errors import ProbabilityOutOfRangeError, StaleEventError
-from ontoflux.io import parse_events, parse_mappings, parse_ontology, parse_query
+from ontoflux.io import parse_events, parse_ground_atom, parse_mappings, parse_ontology, parse_query
 from ontoflux.kb import (
     ABoxAssertion,
     ClassAtom,
@@ -33,6 +36,7 @@ from ontoflux.temporal import (
     Polarity,
     PropState,
     TemporalProposition,
+    step_all,
     upper_ontology,
 )
 
@@ -47,7 +51,7 @@ def ind(token: str) -> Individual:
 
 def base_kb() -> KnowledgeBase:
     return assert_all(
-        KnowledgeBase.empty(),
+        KnowledgeBase(),
         [*upper_ontology(), ABoxAssertion(ClassAtom(AGENT, ind("Bot")))],
     )
 
@@ -299,7 +303,7 @@ def test_incremental_ticks_equal_fresh_merges_on_the_fixture_script(fixture_text
     state = tick_against_fresh_computation(
         kb, (EVENT, AGENT), events, parse_ontology(FIXTURE_EXTERNAL), parse_mappings(FIXTURE_MAPPINGS), (), 52
     )
-    assert state.merged.fact(ClassAtom(EVENT, ind("E3"))).paths == frozenset(
+    assert state.merged.derived.get(ClassAtom(EVENT, ind("E3"))).paths == frozenset(
         {frozenset(), frozenset({"m1"}), frozenset({"m2"})}
     )
 
@@ -338,6 +342,86 @@ def test_each_tick_stores_the_possible_worlds_probabilities(seed):
     assert overlapping > 0
 
 
+# --- branching histories of persistent states ---------------------------------
+
+
+def observe(state: MonitorState) -> tuple:
+    """Everything a caller can read from ``state``, in a form that compares by value.
+
+    It reads the saturation and members through the KB's memo, and the
+    query through the merge's fixpoint state, which later states may
+    have taken over.
+    """
+    kb, merged = state.kb, state.merged
+    concepts = (EVENT, AGENT, *(EntityName("O", f"C{k}") for k in range(4)))
+    members = [sorted(map(str, entailed_members(kb, c))) for c in concepts]
+    facts = answers = None
+    if merged is not None:
+        facts = [(str(a), sorted(map(sorted, f.paths)), repr(f.probability))
+                 for a, f in merged.derived.items()]
+        answers = [(a.binding, repr(a.probability)) for a in query(merged, parse_query("O:C3(x) & O:C0(x)"))]
+    closures = [(str(c), r.closed_at, sorted(map(str, r.members))) for c, r in kb.closures.items()]
+    return (state.clock, list(kb.abox.items()), sorted(map(str, saturate(kb))), members, closures,
+            facts, answers, [p.state for p in state.propositions], state.action_log, state.event_log,
+            state.pending_events, state.pending_actions)
+
+
+def digest(state: MonitorState) -> str:
+    return hashlib.sha256(repr(observe(state)).encode()).hexdigest()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_branching_histories_of_monitor_states_match_fresh_computation(seed):
+    """Monitor states are values that share their memo and merge state with
+    their successors, and a successor takes that state over in place.  Any
+    pooled state may be extended or ticked again, so histories branch; after
+    every step each pooled state must still read what it read when it was
+    made, and that must be what a computation from scratch gives."""
+    rng = random.Random(seed)
+    kb, _, external, mappings, propositions = generated_episode(rng, 12)
+    closed, policy = (EVENT, EntityName("O", "C3")), MergePolicy(0.25)
+    accepted = policy.accept(mappings)
+    people = [f"x{i}" for i in range(8)]
+    made: dict[int, tuple[MonitorState, str]] = {}  # by id: the state, kept alive, and its digest when made
+
+    def admit(state: MonitorState) -> MonitorState:
+        assert saturate(state.kb) == reference_saturate(state.kb)
+        if state.merged is not None:
+            fresh = merge(state.merged.local, external, accepted)
+            assert state.merged.local.abox == state.kb.abox
+            assert [(a, f.paths, repr(f.probability)) for a, f in state.merged.derived.items()] == [
+                (a, f.paths, repr(f.probability)) for a, f in fresh.derived.items()
+            ]
+        assert list(state.propositions) == step_all(propositions, state.action_log, state.clock)
+        replayed = monitor.replay_log(state.event_log, kb, closed, propositions, "up", policy, mappings,
+                                      external)
+        assert (replayed.clock, replayed.kb, replayed.merged) == (state.clock, state.kb, state.merged)
+        assert (replayed.event_log, replayed.action_log) == (state.event_log, state.action_log)
+        made[id(state)] = (state, digest(state))
+        return state
+
+    pool = [admit(monitor.init(kb, closed, propositions))]
+    for step in range(12):
+        state = rng.choice(pool)
+        at = state.clock + rng.choice([0.25, 0.5, 1.0, 1.75, 2.5])
+        roll = rng.random()
+        if roll < 0.3:
+            a, b = rng.sample(people, 2)
+            atom = parse_ground_atom(rng.choice([f"O:C{rng.randrange(4)}(i:{a})", f"O:rel(i:{a}, i:{b})"]))
+            state = enqueue_event(state, ABoxAssertion(atom, at))
+        elif roll < 0.45:
+            actor, target = EntityName("i", f"a{rng.randrange(2)}"), f"T{rng.randrange(3)}"
+            state = record_action(state, ActionRecord(at, f"act{step}", EntityName("O", "Review"), actor, (target,)))
+        else:
+            state = tick(state, policy, mappings, external)
+        pool.append(admit(state))
+        if len(pool) > 4:
+            pool.pop(rng.randrange(len(pool) - 1))  # any state but the newest
+        for state in pool:
+            assert digest(state) == made[id(state)][1]
+
+
 # --- an ingesting tick costs what it ingests -------------------------------------
 
 
@@ -370,6 +454,6 @@ def test_an_ingesting_tick_indexes_as_many_atoms_at_any_abox_size(monkeypatch):
             calls.clear()
             state = tick(state, policy, mappings, external)
             per_tick.append(len(calls))
-            assert atom in saturate(state.kb) and state.merged.fact(atom) is not None
+            assert atom in saturate(state.kb) and state.merged.derived.get(atom) is not None
         counts[size] = per_tick
     assert counts[200] == counts[2000] and min(counts[200]) > 0

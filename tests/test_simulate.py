@@ -24,7 +24,7 @@ from ontoflux.simulate import (
     sample_poisson_interarrival,
 )
 
-from helpers import ReferenceSimulation
+from reference_simulation import ReferenceSimulation
 
 
 def config(**overrides) -> SimConfig:
@@ -127,6 +127,13 @@ def test_erlang_b_recursion_values():
     assert all(a > b for a, b in zip(losses, losses[1:]))
     with pytest.raises(InvalidConfigError):
         erlang_b(-1, 1.0)
+
+
+@pytest.mark.parametrize("servers, load", [(3, math.nan), (3, math.inf), (3, -1.0), (2.5, 1.0), (math.nan, 1.0)])
+def test_erlang_b_rejects_servers_or_a_load_out_of_range(servers, load):
+    # a NaN load fails every comparison, and range() takes no fractional or NaN count
+    with pytest.raises(InvalidConfigError):
+        erlang_b(servers, load)
 
 
 def test_no_demand_run_is_all_fill():

@@ -47,23 +47,29 @@ def test_classify_distinguishes_instants_from_intervals():
         classify("noon")
 
 
+@pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+def test_an_instant_must_be_finite(at):
+    with pytest.raises(MalformedItemError):
+        Instant(at)
+
+
 def test_interval_is_closed_and_ordered():
     window = Interval(2.0, 5.0)
     assert window.contains(2.0) and window.contains(5.0)
     assert not window.contains(1.999) and not window.contains(5.001)
-    assert window.duration == 3.0
+    assert window.end - window.start == 3.0
     with pytest.raises(MalformedItemError):
         Interval(3.0, 1.0)
 
 
 def test_upper_ontology_validates_itself():
-    kb = assert_all(KnowledgeBase.empty(), upper_ontology())
+    kb = assert_all(KnowledgeBase(), upper_ontology())
     validate_upper_ontology(kb)
 
 
 def test_missing_axioms_are_each_reported():
     axioms = upper_ontology()
-    kb = assert_all(KnowledgeBase.empty(), axioms[:1])
+    kb = assert_all(KnowledgeBase(), axioms[:1])
     with pytest.raises(MissingAxiomError) as err:
         validate_upper_ontology(kb)
     assert len(err.value.missing) == 2
