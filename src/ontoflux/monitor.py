@@ -53,7 +53,7 @@ from .kb import (
 )
 from .merging import Mapping, MergedKB, atom_predicate, merge
 from .simulate import UpdateOrder
-from .temporal import ActionRecord, PropState, TemporalProposition, step_all
+from .temporal import ActionRecord, TemporalProposition, step_all
 
 Event = Union[ABoxAssertion, ActionRecord]
 

@@ -21,7 +21,14 @@ One run draws from two generators spawned from
 ``np.random.SeedSequence(seed)``: one for demand interarrival gaps, one
 for lead (service) times.  Each stream is consumed in blocks, in order,
 so statistics are a pure function of the configuration, and the demand
-process does not depend on the lead distribution or the regime.
+process does not depend on the lead distribution or the regime.  A
+block of gaps becomes a block of demand times by a running sum from
+the last arrival, which adds in the same order as stepping from one
+arrival to the next.  The run goes demand by demand: before each one
+it settles the reviews and deliveries due at or before it (a review
+first, then deliveries in ``seq`` order, then the demand), and a
+demand that finds nothing on hand starts a lost stretch, which lasts
+until the next review or delivery and is counted with one bisect.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -178,12 +185,6 @@ def erlang_b(servers: int, offered_load: float) -> float:
 _BLOCK = 1024
 
 
-def _stream(draw) -> Iterator[float]:
-    """The values of successive ``draw()`` blocks, as Python floats."""
-    while True:
-        yield from draw().tolist()
-
-
 @dataclass
 class _Order:
     seq: int
@@ -218,6 +219,7 @@ class Simulation:
         self.noncrossing_violations = 0
         self.lost = 0
         self.served = 0
+        self._ran = False
 
     @property
     def orders(self) -> list[_Order]:
@@ -235,120 +237,171 @@ class Simulation:
         ]
 
     def run(self) -> SimStats:
-        """Merge the next demand, the next review (exo only) and a heap of
-        ``(effective_delivery, seq)`` in time order up to the horizon.  At
-        equal times a review decides leads first, then deliveries land in
-        scheduling (``seq``) order, then the demand is served."""
+        """Serve the demands in time order up to the horizon; a second call raises.
+
+        Demand times come a block at a time, as running sums of the
+        block's gaps from the last arrival; in the block that passes the
+        horizon, the first later entry is replaced by the horizon, where
+        the run stops.  Before each demand the run drains the reviews
+        (exo only) and the heap of ``(effective_delivery, seq)`` due at
+        or before it: at equal times a review decides leads first, then
+        deliveries land in scheduling (``seq``) order, then the demand
+        is served.  A demand that finds nothing on hand is lost, and so
+        is every later one before the next review or delivery, so the
+        whole stretch is counted with one bisect on the block."""
+        if self._ran:
+            raise InvalidConfigError(
+                "Simulation.run() was already called: a run consumes the seeded streams and "
+                "extends the order columns, so each run needs a new Simulation"
+            )
+        self._ran = True
         cfg = self.config
-        horizon, warmup = cfg.horizon, cfg.warmup
+        horizon, warmup, measure = cfg.horizon, cfg.warmup, cfg.measure_position
         exo = cfg.regime is Regime.EXOGENOUS
         iid = cfg.regime is Regime.EXOGENOUS_IID
-        gaps = _stream(lambda: sample_poisson_interarrival(cfg.demand_rate, self.demand_rng, _BLOCK))
-        leads = _stream(lambda: sample_gamma(cfg.lead, self.lead_rng, _BLOCK))
         placed_at, drawn_at, drawn_lead = self.placed_at, self.drawn_at, self.drawn_lead
         effective_delivery, delivered = self.effective_delivery, self.delivered
         on_hand, on_order, served, lost = self.on_hand, self.on_order, self.served, self.lost
         violations, completions_in_window, lost_in_window = self.noncrossing_violations, 0, 0
         area_on_hand = area_position = 0.0
+        window_leads: list[float] = []
         heap: list[tuple[float, int]] = []
         dormant: list[int] = []
+        leads: list[float] = []
+        # i == n draws the first block, from the arrival at 0; stop is set in the block past the horizon
+        block, i, n, k, stop = [0.0], 1, 1, 0, -1
         last = last_delivery = server_free_at = 0.0
-        t_demand = next(gaps) if cfg.demand_rate > 0 else math.inf
         t_review = cfg.review_period if exo else math.inf
+        t_delivery = math.inf
         while True:
-            t_delivery = heap[0][0] if heap else math.inf
-            now = t_review if t_review <= t_delivery else t_delivery
-            if t_demand < now:
-                now = t_demand
-            lo = last if last > warmup else warmup
-            hi = now if now < horizon else horizon
-            if hi > lo:
-                area_on_hand += on_hand * (hi - lo)
-                area_position += (on_hand + on_order) * (hi - lo)
-            if now > horizon:
-                break
-            last = now
-            if now == t_review:
-                for seq in dormant:
-                    drawn = next(leads)
-                    effective, _ = adjust_exogenous(last_delivery, now, drawn)
-                    if effective < last_delivery:
-                        violations += 1
-                    else:
-                        last_delivery = effective
-                    drawn_at[seq], drawn_lead[seq], effective_delivery[seq] = now, drawn, effective
-                    heapq.heappush(heap, (effective, seq))
-                dormant.clear()
-                t_review = now + cfg.review_period
-            elif now == t_delivery:
-                seq = heapq.heappop(heap)[1]
-                if now < placed_at[seq]:
-                    raise InvalidConfigError(
-                        f"order {seq}: delivery {now} precedes placement {placed_at[seq]}"
-                    )
-                on_hand += 1
-                on_order -= 1
-                delivered.append(seq)
-                if now >= warmup:
-                    completions_in_window += 1
-            else:
-                if on_hand > 0:
-                    on_hand -= 1
-                    on_order += 1
-                    served += 1
-                    seq = len(placed_at)
-                    placed_at.append(now)
-                    if exo:
-                        drawn_at.append(math.nan)
-                        drawn_lead.append(math.nan)
-                        effective_delivery.append(math.nan)
-                        dormant.append(seq)
-                    else:
-                        drawn = next(leads)
-                        if iid:
-                            effective = now + drawn
-                        else:
-                            effective = (now if now >= server_free_at else server_free_at) + drawn
-                            server_free_at = effective
-                            if effective < last_delivery:
-                                violations += 1
-                            else:
-                                last_delivery = effective
-                        drawn_at.append(now)
-                        drawn_lead.append(drawn)
-                        effective_delivery.append(effective)
-                        heapq.heappush(heap, (effective, seq))
+            if i == n:
+                if cfg.demand_rate > 0:
+                    gaps = sample_poisson_interarrival(cfg.demand_rate, self.demand_rng, _BLOCK)
+                    block = np.cumsum(np.concatenate(((block[-1],), gaps)))[1:].tolist()
                 else:
-                    lost += 1
+                    block = [math.inf]
+                i, n = 0, len(block)
+                if block[-1] > horizon:
+                    stop = bisect.bisect_right(block, horizon)
+                    block[stop] = horizon
+            t = block[i]
+            now = t_review if t_review <= t_delivery else t_delivery
+            while now <= t:
+                lo = last if last > warmup else warmup
+                if now > lo:
+                    area_on_hand += on_hand * (now - lo)
+                    if measure:
+                        area_position += (on_hand + on_order) * (now - lo)
+                last = now
+                if now == t_review:
+                    for seq in dormant:
+                        if k == len(leads):
+                            leads, k = sample_gamma(cfg.lead, self.lead_rng, _BLOCK).tolist(), 0
+                        drawn = leads[k]
+                        k += 1
+                        effective, _ = adjust_exogenous(last_delivery, now, drawn)
+                        if effective < last_delivery:
+                            violations += 1
+                        else:
+                            last_delivery = effective
+                        drawn_at[seq], drawn_lead[seq], effective_delivery[seq] = now, drawn, effective
+                        heapq.heappush(heap, (effective, seq))
+                        if effective < t_delivery:
+                            t_delivery = effective
+                    dormant.clear()
+                    t_review = now + cfg.review_period
+                else:
+                    seq = heapq.heappop(heap)[1]
+                    placed = placed_at[seq]
+                    if now < placed:
+                        raise InvalidConfigError(f"order {seq}: delivery {now} precedes placement {placed}")
+                    on_hand += 1
+                    on_order -= 1
+                    delivered.append(seq)
                     if now >= warmup:
-                        lost_in_window += 1
-                t_demand = now + next(gaps)
+                        completions_in_window += 1
+                        if placed >= warmup:
+                            window_leads.append(now - placed)
+                    t_delivery = heap[0][0] if heap else math.inf
+                now = t_review if t_review <= t_delivery else t_delivery
+            lo = last if last > warmup else warmup
+            if t > lo:
+                area_on_hand += on_hand * (t - lo)
+                if measure:
+                    area_position += (on_hand + on_order) * (t - lo)
+            last = t
+            if i == stop:
+                break
+            if on_hand > 0:
+                on_hand -= 1
+                on_order += 1
+                served += 1
+                seq = len(placed_at)
+                placed_at.append(t)
+                if exo:
+                    drawn_at.append(math.nan)
+                    drawn_lead.append(math.nan)
+                    effective_delivery.append(math.nan)
+                    dormant.append(seq)
+                else:
+                    if k == len(leads):
+                        leads, k = sample_gamma(cfg.lead, self.lead_rng, _BLOCK).tolist(), 0
+                    drawn = leads[k]
+                    k += 1
+                    if iid:
+                        effective = t + drawn
+                    else:
+                        effective = (t if t >= server_free_at else server_free_at) + drawn
+                        server_free_at = effective
+                        if effective < last_delivery:
+                            violations += 1
+                        else:
+                            last_delivery = effective
+                    drawn_at.append(t)
+                    drawn_lead.append(drawn)
+                    effective_delivery.append(effective)
+                    heapq.heappush(heap, (effective, seq))
+                    if effective < t_delivery:
+                        t_delivery = effective
+                i += 1
+            else:
+                # lost until the next review or delivery: on-hand area stays 0
+                j = bisect.bisect_left(block, now if now < horizon else horizon, i + 1)
+                lost += j - i
+                lost_in_window += j - (i if t >= warmup else bisect.bisect_left(block, warmup, i, j))
+                if measure:
+                    for u in block[i + 1:j]:
+                        lo = last if last > warmup else warmup
+                        if u > lo:
+                            area_position += on_order * (u - lo)
+                        last = u
+                last = block[j - 1]
+                i = j
         self.on_hand, self.on_order, self.served, self.lost = on_hand, on_order, served, lost
         self.noncrossing_violations = violations
-        return self._stats(area_on_hand, area_position, completions_in_window, lost_in_window)
+        area = area_position if measure else area_on_hand
+        return self._stats(area, area_on_hand, completions_in_window, lost_in_window, window_leads)
 
-    def _stats(self, area_on_hand: float, area_position: float, completions: int, lost: int) -> SimStats:
-        """Post-warmup statistics from the run's areas and in-window counts."""
+    def _stats(self, area: float, area_on_hand: float, completions: int, lost: int,
+               leads: list[float]) -> SimStats:
+        """Post-warmup statistics from the run's areas, in-window counts and in-window leads."""
         cfg = self.config
         elapsed = cfg.horizon - cfg.warmup
         # placements happen in time order, so the in-window ones are a suffix
         served = len(self.placed_at) - bisect.bisect_left(self.placed_at, cfg.warmup)
         total = served + lost
         fill_rate = served / total if total else 1.0
-        area = area_position if cfg.measure_position else area_on_hand
-        avg_on_hand = area / elapsed
         cost = (
             cfg.costs.holding * area_on_hand
             + cfg.costs.lost_penalty * lost
             + cfg.costs.processing * completions
         ) / elapsed
-        placed, effective = self.placed_at, self.effective_delivery
-        leads = np.array([effective[s] - placed[s] for s in self.delivered if placed[s] >= cfg.warmup])
-        mean = float(leads.mean()) if leads.size else 0.0
-        var = float(leads.var(ddof=1)) if leads.size > 1 else 0.0
+        window = np.array(leads)
+        mean = float(window.mean()) if window.size else 0.0
+        var = float(window.var(ddof=1)) if window.size > 1 else 0.0
         return SimStats(
             fill_rate=fill_rate,
-            avg_on_hand=avg_on_hand,
+            avg_on_hand=area / elapsed,
             long_run_avg_cost=cost,
             service_time_mean=mean,
             service_time_var=var,

@@ -7,7 +7,6 @@ the conftest hook prints one PASS/FAIL line per criterion.
 import math
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontoflux import simulate
-from ontoflux.errors import InvalidConfigError, NegativeAdjustmentError, NonPositiveRateError
+from ontoflux.errors import InvalidConfigError, NonPositiveRateError
 from ontoflux.simulate import (
     Costs,
     GammaParams,
@@ -288,6 +288,8 @@ LONG_RUN = config(base_stock=6, demand_rate=4.0, lead=GammaParams(mu=1.0, r=1.5)
 @example(dataclasses.replace(LONG_RUN, regime=Regime.ENDOGENOUS), True)
 @example(dataclasses.replace(LONG_RUN, regime=Regime.EXOGENOUS_IID, base_stock=1), True)
 @example(dataclasses.replace(LONG_RUN, base_stock=1, warmup=0.0), True)
+@example(dataclasses.replace(LONG_RUN, regime=Regime.ENDOGENOUS, base_stock=1, measure_position=True), False)
+@example(dataclasses.replace(LONG_RUN, regime=Regime.ENDOGENOUS, base_stock=1, measure_position=True), True)
 def test_event_merge_equals_the_reference_heap_loop(cfg, on_grid):
     # on the grid, leads are whole numbers and demand gaps multiples of
     # 0.5, so reviews, deliveries and demands coincide and ties decide
@@ -301,6 +303,28 @@ def test_event_merge_equals_the_reference_heap_loop(cfg, on_grid):
     assert [_bits(o) for o in sim.completed] == [_bits(o) for o in ref.completed]
     for name in ("noncrossing_violations", "served", "lost", "on_hand", "on_order"):
         assert getattr(sim, name) == getattr(ref, name), name
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("base_stock", [1, 2, 6])
+def test_measure_position_changes_only_avg_on_hand(regime, base_stock):
+    cfg = config(regime=regime, base_stock=base_stock, demand_rate=4.0, lead=GammaParams(mu=1.0, r=1.5))
+    on_hand = _bits(run_simulation(cfg))
+    position = _bits(run_simulation(dataclasses.replace(cfg, measure_position=True)))
+    fields = [f.name for f in dataclasses.fields(simulate.SimStats)]
+    differ = [name for name, a, b in zip(fields, on_hand, position) if a != b and name != "avg_on_hand"]
+    assert differ == []
+
+
+def test_a_second_run_of_one_simulation_is_rejected():
+    sim = Simulation(SimConfig(Regime.ENDOGENOUS, 3, 2.0, GammaParams(1.0, 1.5), 50.0, 5.0, seed=3))
+    first = sim.run()
+    state = (sim.served, sim.lost, sim.on_hand, list(sim.placed_at), list(sim.delivered))
+    # the first run must not be repeated on used streams and columns
+    with pytest.raises(InvalidConfigError, match=r"already called.*new Simulation"):
+        sim.run()
+    assert (sim.served, sim.lost, sim.on_hand, sim.placed_at, sim.delivered) == state
+    assert Simulation(sim.config).run() == first
 
 
 def test_run_builds_no_order_record():
