@@ -12,7 +12,6 @@ Fulfilled or Violated, and the terminal states are absorbing.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -210,4 +209,4 @@ def _advance(prop: TemporalProposition, log: Sequence[ActionRecord], now: float)
         state = PropState.VIOLATED if prop.polarity is Polarity.POSITIVE else PropState.FULFILLED
     else:
         return prop
-    return dataclasses.replace(prop, state=state)
+    return TemporalProposition(prop.prop_id, prop.polarity, prop.pattern, prop.window, state)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ontoflux.kb
+import ontoflux.temporal
 
 from helpers import reference_saturate, world_atom_probabilities
 
@@ -261,11 +262,30 @@ def generated_episode(rng: random.Random, ticks: int):
     mappings = [f"map m1: O:C0(x) <- X:Obs(x) ; P({rng.uniform(0.5, 0.9):.2f})",
                 f"map m2: O:rel(x, y) <- X:link(x, y) ; P({rng.uniform(0.5, 0.9):.2f})",
                 f"map m3: O:C3(x) <- X:Obs(x) ; P({rng.uniform(0.1, 0.4):.2f})"]
+    review, approve, ship = (EntityName("O", kind) for kind in ("Review", "Approve", "Ship"))  # no action is a Ship
     propositions = [
-        TemporalProposition(f"p{i}", Polarity.POSITIVE, ActionPattern(EntityName("O", "Review"), f"T{i % 3}"),
+        TemporalProposition(f"p{i}", Polarity.POSITIVE, ActionPattern(review, f"T{i % 3}"),
                             Interval(float(i), float(i + 4)))
         for i in range(0, ticks, 3)
     ]
+    windows = [(0.0, 0.0), (0.0, 0.5), (0.25, 0.75),  # over before t=1
+               (2.0, 2.0), (2.5, 2.5),  # zero length, on and off a whole tick
+               (1.0, 6.0), (3.5, 6.0)]  # a shared end on a whole tick
+    for _ in range(ticks // 2):
+        start = rng.randrange(ticks) + rng.choice([0.0, 0.5])
+        windows.append((start, start + rng.choice([0.0, 0.5, 1.0, 2.25, 4.0])))
+    for i, window in enumerate(windows):
+        pattern = ActionPattern(rng.choice([review, approve, ship]), rng.choice([None, "T0", "T1"]))
+        propositions.append(TemporalProposition(f"q{i}", rng.choice(list(Polarity)), pattern, Interval(*window)))
+    # actions of a second kind, and a tick whose events and actions are enqueued out of time order
+    for k in range(ticks // 3):
+        script.append(f"at {round(rng.uniform(0.01, ticks), 3)} action apr{k} O:Approve by a{rng.randrange(2)} "
+                      f"target T{k % 2} T3")
+    t = rng.randrange(ticks)
+    script += [f"at {t + 0.75} assert O:C{rng.randrange(4)}({rng.choice(people)})",
+               f"at {t + 0.25} assert O:C{rng.randrange(4)}({rng.choice(people)})",
+               f"at {t + 0.6} action late{t} O:Approve by a0 target T1 T3",
+               f"at {t + 0.4} action early{t} O:Review by a1 target T0 T3"]
     return (parse_ontology("\n".join(onto) + "\n"), parse_events("\n".join(script) + "\n"),
             parse_ontology("\n".join(external) + "\n"), parse_mappings("\n".join(mappings) + "\n"),
             propositions)
@@ -291,6 +311,7 @@ def tick_against_fresh_computation(kb, closed, events, external, mappings, propo
             (a, f.paths, f.probability) for a, f in fresh.derived.items()
         ]
         assert saturate(state.kb) == reference_saturate(state.kb)
+        assert list(state.propositions) == step_all(propositions, state.action_log, state.clock)
     replayed = monitor.replay_log(state.event_log, kb, closed, propositions, "up", policy, mappings, external)
     assert replayed.event_log == state.event_log
     assert quiet > 0
@@ -412,7 +433,8 @@ def test_branching_histories_of_monitor_states_match_fresh_computation(seed):
             state = enqueue_event(state, ABoxAssertion(atom, at))
         elif roll < 0.45:
             actor, target = EntityName("i", f"a{rng.randrange(2)}"), f"T{rng.randrange(3)}"
-            state = record_action(state, ActionRecord(at, f"act{step}", EntityName("O", "Review"), actor, (target,)))
+            kind = EntityName("O", rng.choice(["Review", "Approve"]))
+            state = record_action(state, ActionRecord(at, f"act{step}", kind, actor, (target,)))
         else:
             state = tick(state, policy, mappings, external)
         pool.append(admit(state))
@@ -457,3 +479,56 @@ def test_an_ingesting_tick_indexes_as_many_atoms_at_any_abox_size(monkeypatch):
             assert atom in saturate(state.kb) and state.merged.derived.get(atom) is not None
         counts[size] = per_tick
     assert counts[200] == counts[2000] and min(counts[200]) > 0
+
+
+# --- an idle tick costs nothing per pending proposition or queued event ---------
+
+
+def deadline_monitor(count: int, first_end: float) -> MonitorState:
+    """A monitor with ``count`` pending propositions of kinds O:K0..O:K3, both
+    polarities, whose windows end at ``first_end`` and at the six half units after it."""
+    propositions = [
+        TemporalProposition(f"p{i}", Polarity.POSITIVE if i % 3 else Polarity.NEGATIVE,
+                            ActionPattern(EntityName("O", f"K{i % 4}")), Interval(0.0, first_end + (i % 7) / 2))
+        for i in range(count)
+    ]
+    return monitor.init(base_kb(), (EVENT,), propositions)
+
+
+def counting_advance(monkeypatch) -> list:
+    """Record each proposition ``temporal.step_all`` advances."""
+    advanced = []
+    counted = ontoflux.temporal._advance
+    monkeypatch.setattr(ontoflux.temporal, "_advance",
+                        lambda prop, log, now: advanced.append(prop) or counted(prop, log, now))
+    return advanced
+
+
+@pytest.mark.parametrize("count", [0, 200, 2000])
+def test_an_idle_tick_advances_no_proposition(monkeypatch, count):
+    advanced = counting_advance(monkeypatch)
+    state = tick(deadline_monitor(count, 10.0))
+    assert advanced == [] and len(state.propositions) == count
+    assert not any(p.terminal for p in state.propositions)
+
+
+def test_a_due_action_advances_its_kind_and_the_expired_propositions_only(monkeypatch):
+    kind = EntityName("O", "K1")
+    state = deadline_monitor(200, 1.5)
+    state = tick(tick(state))  # the windows ending at 1.5 are over
+    state = record_action(state, ActionRecord(2.5, "go", kind, EntityName("i", "Bot")))
+    advanced = counting_advance(monkeypatch)
+    after = tick(state)
+    expected = [p for p in state.propositions if not p.terminal and (p.pattern.kind == kind or p.window.end < 3.0)]
+    assert advanced == expected
+    assert any(p.pattern.kind != kind for p in expected) and any(p.window.end >= 3.0 for p in expected)
+    assert list(after.propositions) == step_all(deadline_monitor(200, 1.5).propositions, after.action_log, 3.0)
+
+
+def test_an_idle_tick_leaves_long_queues_untouched():
+    events = [event(10.5 + k / 1000, f"E{k}") for k in range(8000)]
+    events += [action(10.25 + k / 1000, f"a{k}") for k in range(8000)]
+    state, _ = monitor.run(monitor.init(base_kb(), (EVENT,)), 2, events=events)
+    after = tick(state)
+    assert after.pending_events is state.pending_events and after.pending_actions is state.pending_actions
+    assert after.action_log == () and len(after.pending_events) == len(after.pending_actions) == 8000
